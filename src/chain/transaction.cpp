@@ -92,4 +92,22 @@ bool verify_transaction(const Transaction& tx, const crypto::KeyStore& keys) {
     return keys.verify(tx.origin, tx.signing_bytes(), tx.signature);
 }
 
+crypto::HybridCiphertext seal_upload(const Transaction& tx,
+                                     const crypto::RsaPublicKey& miner,
+                                     support::Rng& rng) {
+    return crypto::hybrid_encrypt(miner, tx.encode(), rng);
+}
+
+std::optional<Transaction> open_upload(
+    const crypto::HybridCiphertext& ciphertext,
+    const crypto::RsaPrivateKey& miner) {
+    try {
+        const Bytes plain = crypto::hybrid_decrypt(miner, ciphertext);
+        ByteReader reader(plain);
+        return Transaction::decode(reader);
+    } catch (const std::exception&) {
+        return std::nullopt;
+    }
+}
+
 }  // namespace fairbfl::chain

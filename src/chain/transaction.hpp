@@ -7,10 +7,12 @@
 // the two frameworks are directly comparable.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "chain/bytes.hpp"
+#include "crypto/hybrid.hpp"
 #include "crypto/keystore.hpp"
 #include "crypto/sha256.hpp"
 
@@ -77,5 +79,18 @@ void sign_transaction(Transaction& tx, const crypto::KeyStore& keys);
 /// keystore has crypto disabled).
 [[nodiscard]] bool verify_transaction(const Transaction& tx,
                                       const crypto::KeyStore& keys);
+
+/// Client side of an encrypted upload (paper §4.2): `tx`'s full encoding
+/// under hybrid encryption to the associated miner's key.
+[[nodiscard]] crypto::HybridCiphertext seal_upload(
+    const Transaction& tx, const crypto::RsaPublicKey& miner,
+    support::Rng& rng);
+
+/// Miner side: decrypts and decodes an upload.  nullopt when it cannot be
+/// opened -- failed key unwrap, integrity-tag mismatch or an undecodable
+/// body -- and the caller drops the upload.
+[[nodiscard]] std::optional<Transaction> open_upload(
+    const crypto::HybridCiphertext& ciphertext,
+    const crypto::RsaPrivateKey& miner);
 
 }  // namespace fairbfl::chain

@@ -7,6 +7,7 @@
 #include "crypto/hybrid.hpp"
 #include "fl/sampling.hpp"
 #include "support/logging.hpp"
+#include "support/parallel.hpp"
 
 namespace fairbfl::core {
 
@@ -46,13 +47,15 @@ FairBfl::FairBfl(const ml::Model& model, std::vector<fl::Client> clients,
     // The tightly coupled design models mining time stochastically; the
     // chain stores protocol-valid blocks without re-running the hash race.
     chain_.set_check_pow(false);
-    for (const auto& client : clients_) keys_.register_node(client.id());
+    std::vector<crypto::NodeId> node_ids;
+    for (const auto& client : clients_) node_ids.push_back(client.id());
     // Miners get ids above the client range.  At least one miner id is
     // always registered: the mining stage signs the winner's block with
     // proxy id clients_.size(), and the upload stage addresses a proxy
     // miner, even when config.miners == 0.
     for (std::size_t k = 0; k < std::max<std::size_t>(config_.miners, 1); ++k)
-        keys_.register_node(static_cast<crypto::NodeId>(clients_.size() + k));
+        node_ids.push_back(static_cast<crypto::NodeId>(clients_.size() + k));
+    keys_.register_nodes(node_ids, pool());
 
     auto rng = support::Rng::fork(config_.fl.seed, /*stream=*/0x1417);
     model_->init_params(weights_, rng);
@@ -62,6 +65,39 @@ std::size_t FairBfl::batch_steps_of(std::size_t client_id) const {
     const std::size_t samples = clients_[client_id].num_samples();
     const std::size_t batch = std::max<std::size_t>(config_.fl.sgd.batch_size, 1);
     return config_.fl.sgd.epochs * ((samples + batch - 1) / batch);
+}
+
+support::ThreadPool& FairBfl::pool() const noexcept {
+    return config_.pool != nullptr ? *config_.pool
+                                   : support::ThreadPool::global();
+}
+
+FairBfl::Upload FairBfl::upload(const fl::GradientUpdate& update,
+                                std::uint64_t round, crypto::NodeId miner,
+                                bool encrypting) const {
+    Upload out;
+    out.tx = chain::make_gradient_tx(chain::TxKind::kLocalGradient,
+                                     update.client, round, update.weights);
+    chain::sign_transaction(out.tx, keys_);
+    if (!chain::verify_transaction(out.tx, keys_)) {
+        out.drop = UploadDrop::kBadSignature;
+        return out;
+    }
+    if (!encrypting) return out;
+    // The miner decrypts before treating the upload as a gradient; an
+    // undecryptable or tampered upload is dropped, like a bad signature.
+    auto enc_rng = support::Rng::fork(config_.fl.seed,
+                                      0xE2C00000ULL + update.client, round);
+    const crypto::HybridCiphertext ciphertext =
+        chain::seal_upload(out.tx, keys_.public_key(miner), enc_rng);
+    out.wire_bytes = ciphertext.total_bytes();
+    const auto received =
+        chain::open_upload(ciphertext, keys_.private_key(miner));
+    if (!received)
+        out.drop = UploadDrop::kUndecryptable;
+    else if (!(*received == out.tx))
+        out.drop = UploadDrop::kAltered;
+    return out;
 }
 
 BflRoundRecord FairBfl::run_round() {
@@ -127,9 +163,11 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
         round_start_weights = weights_;
 
     // --- Procedures I + II as engine phases: local learning runs eagerly
-    // in parallel (the physics), then the driving thread forges / signs /
-    // prices the uploads and turns each deliverable update into an
-    // arrival event on the virtual clock.
+    // in parallel (the physics), then the driving thread forges the
+    // updates and draws the miner associations, the pool signs /
+    // encrypts / opens every upload, and the driving thread prices them
+    // and turns each deliverable update into an arrival event on the
+    // virtual clock.
     std::vector<fl::GradientUpdate> updates(selected.size());
     trainer_.ensure_capacity(clients_.size());
     const auto work = [&](std::size_t slot) {
@@ -160,59 +198,62 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
 
         // --- Procedure II: sign and upload to a uniformly random miner,
         // optionally under hybrid encryption to that miner.  Draw order
-        // (association before the signature check, one upload draw per
-        // update after the loop) matches the lockstep series exactly.
-        gradient_txs.reserve(updates.size());
+        // (every association first, one upload draw per update after the
+        // uploads) matches the lockstep series exactly.
         const std::size_t miner_count =
             std::max<std::size_t>(config_.miners, 1);
+        // Miner association: uniform random (paper §4.2).
+        std::vector<std::size_t> miners(updates.size());
+        for (auto& miner : miners)
+            miner = static_cast<std::size_t>(assoc_rng.uniform_int(
+                0, static_cast<std::int64_t>(miner_count) - 1));
+
+        // Each upload's crypto is independent (the encryption stream is
+        // a per-client fork), so it runs on the pool into its own slot.
+        std::vector<Upload> uploads(updates.size());
+        {
+            const telemetry::Span span(telemetry::labels::round_uploads());
+            const telemetry::Context ctx = telemetry::current_context();
+            support::parallel_for(
+                0, updates.size(),
+                [&](std::size_t i) {
+                    const telemetry::ContextScope scope(ctx.with_item(
+                        static_cast<std::uint32_t>(updates[i].client)));
+                    const telemetry::Span item(
+                        telemetry::labels::upload_client());
+                    uploads[i] = upload(updates[i], round,
+                                        static_cast<crypto::NodeId>(
+                                            clients_.size() + miners[i]),
+                                        encrypting);
+                    // Only the Assumption 2 ablation puts local gradients
+                    // on-chain; otherwise the verified transaction is done
+                    // with, and holding it would pin a payload per update.
+                    if (!config_.record_local_gradients)
+                        uploads[i].tx = chain::Transaction{};
+                },
+                pool());
+        }
+
+        // Join: gather in update order on the driving thread.
         std::vector<bool> deliverable(updates.size(), false);
         for (std::size_t i = 0; i < updates.size(); ++i) {
-            const auto& update = updates[i];
-            chain::Transaction tx = chain::make_gradient_tx(
-                chain::TxKind::kLocalGradient, update.client, round,
-                update.weights);
-            chain::sign_transaction(tx, keys_);
-            // Miner association: uniform random (paper §4.2).
-            const auto miner = static_cast<std::size_t>(assoc_rng.uniform_int(
-                0, static_cast<std::int64_t>(miner_count) - 1));
-            if (!chain::verify_transaction(tx, keys_)) {
+            Upload& up = uploads[i];
+            wire_payload = std::max(wire_payload, up.wire_bytes);
+            if (up.drop == UploadDrop::kBadSignature) {
                 FAIRBFL_LOG_WARN(
                     "round %llu: dropping update with bad signature "
                     "from client %u",
-                    static_cast<unsigned long long>(round), update.client);
-                continue;
+                    static_cast<unsigned long long>(round), updates[i].client);
+            } else if (up.drop == UploadDrop::kUndecryptable) {
+                FAIRBFL_LOG_WARN(
+                    "round %llu: dropping undecryptable upload from %u",
+                    static_cast<unsigned long long>(round),
+                    updates[i].client);
             }
-            if (encrypting) {
-                // Encrypt the signed transaction to the associated miner;
-                // the miner decrypts before treating it as a gradient.  An
-                // undecryptable or tampered upload is dropped, like a bad
-                // signature.
-                const auto miner_node =
-                    static_cast<crypto::NodeId>(clients_.size() + miner);
-                auto enc_rng = support::Rng::fork(
-                    config_.fl.seed, 0xE2C00000ULL + update.client, round);
-                const crypto::HybridCiphertext ciphertext =
-                    crypto::hybrid_encrypt(keys_.public_key(miner_node),
-                                           tx.encode(), enc_rng);
-                wire_payload =
-                    std::max(wire_payload, ciphertext.total_bytes());
-                try {
-                    const auto decrypted = crypto::hybrid_decrypt(
-                        keys_.private_key(miner_node), ciphertext);
-                    chain::ByteReader reader(decrypted);
-                    const chain::Transaction received =
-                        chain::Transaction::decode(reader);
-                    if (!(received == tx)) continue;
-                } catch (const std::exception&) {
-                    FAIRBFL_LOG_WARN(
-                        "round %llu: dropping undecryptable upload from %u",
-                        static_cast<unsigned long long>(round),
-                        update.client);
-                    continue;
-                }
-            }
+            if (up.drop != UploadDrop::kNone) continue;
             deliverable[i] = true;
-            gradient_txs.push_back(std::move(tx));
+            if (config_.record_local_gradients)
+                gradient_txs.push_back(std::move(up.tx));
         }
         const std::vector<double> up_seconds =
             delays.t_up_each(updates.size(), wire_payload, up_rng);

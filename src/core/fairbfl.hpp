@@ -162,8 +162,34 @@ public:
     }
 
 private:
+    /// Why Procedure II dropped an upload (kNone: delivered).
+    enum class UploadDrop : std::uint8_t {
+        kNone,
+        kBadSignature,
+        kUndecryptable,
+        kAltered,  ///< opened, but not the transaction that was sent
+    };
+    /// One update's Procedure II result.
+    struct Upload {
+        chain::Transaction tx;
+        std::size_t wire_bytes = 0;  ///< ciphertext bytes (0: plaintext)
+        UploadDrop drop = UploadDrop::kNone;
+    };
+
     /// E * ceil(|D_i| / B) batch steps for the delay model.
     [[nodiscard]] std::size_t batch_steps_of(std::size_t client_id) const;
+
+    /// config.pool, or the process-wide pool.
+    [[nodiscard]] support::ThreadPool& pool() const noexcept;
+
+    /// Builds, signs and verifies `update`'s transaction; when
+    /// `encrypting`, seals it to `miner` under the client's per-round
+    /// encryption stream and opens it as the miner would.  Reads only
+    /// const state, so uploads run concurrently on pool workers; it never
+    /// logs (the caller reports drops after the join).
+    [[nodiscard]] Upload upload(const fl::GradientUpdate& update,
+                                std::uint64_t round, crypto::NodeId miner,
+                                bool encrypting) const;
 
     /// The five procedures of one round, executed under the round's
     /// telemetry context; run_round() wraps it and derives record.wall

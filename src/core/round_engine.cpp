@@ -67,7 +67,8 @@ CollectOutcome RoundEngine::collect(
     }
 
     // --- Phase 2: the delivery schedule (forging, signing, upload
-    // pricing -- all sequential, on the driving thread).
+    // pricing), built by `prepare` on the driving thread; it may fan its
+    // own order-independent work out to the pool.
     std::vector<PendingDelivery> deliveries;
     if (prepare) deliveries = prepare();
 

@@ -301,81 +301,152 @@ BigUintDivMod BigUint::divmod(const BigUint& divisor) const {
 // ---------------------------------------------------------------------------
 // Montgomery arithmetic (odd modulus), used by mod_pow.
 
-/// Montgomery context for a fixed odd modulus N with R = 2^(32*k).
-class Montgomery {
+namespace {
+using Word = std::uint64_t;
+using Wide = unsigned __int128;
+constexpr std::size_t kWindowBits = 4;
+constexpr std::size_t kWindowSize = std::size_t{1} << kWindowBits;
+}  // namespace
+
+/// Fixed-width Montgomery context for an odd modulus N of k 64-bit words,
+/// R = 2^(64k).  Products use 128-bit intermediates (CIOS), and every
+/// buffer -- the 16-entry window table included -- is sized once at
+/// construction, so the exponentiation loop never touches the heap.
+class Montgomery64 {
 public:
-    explicit Montgomery(const BigUint& modulus) : n_(modulus) {
-        k_ = n_.limbs_.size();
-        // n' = -N^{-1} mod 2^32 via Newton iteration on 32-bit words.
-        std::uint32_t inv = 1;
-        const std::uint32_t n0 = n_.limbs_[0];
-        for (int i = 0; i < 5; ++i) inv *= 2 - n0 * inv;  // inv = n0^{-1} mod 2^32
-        nprime_ = ~inv + 1;  // -inv mod 2^32
-        // R^2 mod N for conversions.
-        BigUint r2 = BigUint(1) << (64 * k_);
-        r2_ = r2 % n_;
+    explicit Montgomery64(const BigUint& modulus)
+        : k_((modulus.limbs_.size() + 1) / 2),
+          n_(k_),
+          r2_(k_),
+          scratch_(k_ + 2),
+          table_(kWindowSize * k_),
+          acc_(k_) {
+        load(modulus, n_.data());
+        // -N^{-1} mod 2^64 by Newton iteration: n0 * n0 = 1 mod 8 seeds
+        // three correct bits, and each step doubles them.
+        const Word n0 = n_[0];
+        Word inv = n0;
+        for (int i = 0; i < 5; ++i) inv *= 2 - n0 * inv;
+        nprime_ = ~inv + 1;
+        // R^2 mod N converts into Montgomery form.
+        load((BigUint(1) << (128 * k_)) % modulus, r2_.data());
     }
 
-    /// Converts into Montgomery form: a * R mod N.
-    [[nodiscard]] BigUint to_mont(const BigUint& a) const {
-        return mul(a % n_, r2_);
-    }
-    /// Converts out of Montgomery form.
-    [[nodiscard]] BigUint from_mont(const BigUint& a) const {
-        return mul(a, BigUint(1));
-    }
+    /// base^exponent mod N for base < N and a non-zero exponent.
+    /// Left-to-right fixed 4-bit windows: table[d] = base^d * R for
+    /// d = 1..15, then per window four squarings and at most one multiply.
+    /// The top window is never zero, so table[0] is never read.
+    [[nodiscard]] BigUint pow(const BigUint& base, const BigUint& exponent) {
+        const std::size_t k = k_;
+        Word* table = table_.data();
+        Word* acc = acc_.data();
+        load(base, acc);
+        mul(acc, r2_.data(), table + k);
+        for (std::size_t d = 2; d < kWindowSize; ++d)
+            mul(table + (d - 1) * k, table + k, table + d * k);
 
-    /// Montgomery product: a * b * R^{-1} mod N (CIOS).
-    [[nodiscard]] BigUint mul(const BigUint& a, const BigUint& b) const {
-        std::vector<std::uint32_t> t(k_ + 2, 0);
-        for (std::size_t i = 0; i < k_; ++i) {
-            const std::uint64_t ai =
-                i < a.limbs_.size() ? a.limbs_[i] : 0;
-            // t += ai * b
-            std::uint64_t carry = 0;
-            for (std::size_t j = 0; j < k_; ++j) {
-                const std::uint64_t bj =
-                    j < b.limbs_.size() ? b.limbs_[j] : 0;
-                const std::uint64_t cur = t[j] + ai * bj + carry;
-                t[j] = static_cast<std::uint32_t>(cur);
-                carry = cur >> 32;
-            }
-            std::uint64_t cur = t[k_] + carry;
-            t[k_] = static_cast<std::uint32_t>(cur);
-            t[k_ + 1] = static_cast<std::uint32_t>(cur >> 32);
-
-            // m = t[0] * n' mod 2^32; t += m * N; t >>= 32
-            const std::uint32_t m =
-                static_cast<std::uint32_t>(t[0]) * nprime_;
-            carry = 0;
-            for (std::size_t j = 0; j < k_; ++j) {
-                const std::uint64_t prod =
-                    t[j] + static_cast<std::uint64_t>(m) * n_.limbs_[j] + carry;
-                t[j] = static_cast<std::uint32_t>(prod);
-                carry = prod >> 32;
-            }
-            cur = t[k_] + carry;
-            t[k_] = static_cast<std::uint32_t>(cur);
-            t[k_ + 1] += static_cast<std::uint32_t>(cur >> 32);
-            // shift down one limb
-            for (std::size_t j = 0; j < k_ + 1; ++j) t[j] = t[j + 1];
-            t[k_ + 1] = 0;
+        const std::size_t windows =
+            (exponent.bit_length() + kWindowBits - 1) / kWindowBits;
+        std::copy_n(table + window(exponent, windows - 1) * k, k, acc);
+        for (std::size_t w = windows - 1; w-- > 0;) {
+            for (std::size_t s = 0; s < kWindowBits; ++s) mul(acc, acc, acc);
+            const std::size_t digit = window(exponent, w);
+            if (digit != 0) mul(acc, table + digit * k, acc);
         }
-        BigUint result;
-        result.limbs_.assign(t.begin(),
-                             t.begin() + static_cast<std::ptrdiff_t>(k_ + 1));
-        result.trim();
-        if (result >= n_) result = result - n_;
-        return result;
+        // Out of Montgomery form: multiply by plain 1 (table[0] is free).
+        load(BigUint(1), table);
+        mul(acc, table, acc);
+        return from_words(acc_);
     }
-
-    [[nodiscard]] const BigUint& modulus() const noexcept { return n_; }
 
 private:
-    BigUint n_;
-    BigUint r2_;
-    std::size_t k_ = 0;
-    std::uint32_t nprime_ = 0;
+    /// out = a * b * R^{-1} mod N for a, b < N; out may alias a or b.
+    void mul(const Word* a, const Word* b, Word* out) noexcept {
+        const std::size_t k = k_;
+        const Word* n = n_.data();
+        Word* t = scratch_.data();
+        std::fill(t, t + k + 2, 0);
+        for (std::size_t i = 0; i < k; ++i) {
+            // t += a * b[i]
+            const Word bi = b[i];
+            Word carry = 0;
+            for (std::size_t j = 0; j < k; ++j) {
+                const Wide cur = static_cast<Wide>(a[j]) * bi + t[j] + carry;
+                t[j] = static_cast<Word>(cur);
+                carry = static_cast<Word>(cur >> 64);
+            }
+            Wide cur = static_cast<Wide>(t[k]) + carry;
+            t[k] = static_cast<Word>(cur);
+            t[k + 1] = static_cast<Word>(cur >> 64);
+            // t = (t + m * N) / 2^64 with m chosen to clear the low word.
+            const Word m = t[0] * nprime_;
+            cur = static_cast<Wide>(m) * n[0] + t[0];
+            carry = static_cast<Word>(cur >> 64);
+            for (std::size_t j = 1; j < k; ++j) {
+                cur = static_cast<Wide>(m) * n[j] + t[j] + carry;
+                t[j - 1] = static_cast<Word>(cur);
+                carry = static_cast<Word>(cur >> 64);
+            }
+            cur = static_cast<Wide>(t[k]) + carry;
+            t[k - 1] = static_cast<Word>(cur);
+            t[k] = t[k + 1] + static_cast<Word>(cur >> 64);
+        }
+        // t < 2N: one conditional subtraction lands in [0, N).
+        bool ge = t[k] != 0;
+        if (!ge) {
+            ge = true;
+            for (std::size_t j = k; j-- > 0;) {
+                if (t[j] != n[j]) {
+                    ge = t[j] > n[j];
+                    break;
+                }
+            }
+        }
+        if (!ge) {
+            std::copy_n(t, k, out);
+            return;
+        }
+        Word borrow = 0;
+        for (std::size_t j = 0; j < k; ++j) {
+            const Wide diff = static_cast<Wide>(t[j]) - n[j] - borrow;
+            out[j] = static_cast<Word>(diff);
+            borrow = static_cast<Word>(diff >> 64) & 1U;
+        }
+    }
+
+    /// The 4-bit exponent digit w (bits 4w .. 4w+3).  Windows never
+    /// straddle a 32-bit limb.
+    [[nodiscard]] static std::size_t window(const BigUint& exponent,
+                                            std::size_t w) noexcept {
+        const std::size_t bit = w * kWindowBits;
+        return (exponent.limbs_[bit / 32] >> (bit % 32)) & (kWindowSize - 1);
+    }
+
+    /// Writes `value` (< 2^(64k)) into k little-endian words.
+    void load(const BigUint& value, Word* out) const noexcept {
+        std::fill(out, out + k_, 0);
+        for (std::size_t i = 0; i < value.limbs_.size(); ++i)
+            out[i / 2] |= static_cast<Word>(value.limbs_[i]) << (32 * (i % 2));
+    }
+
+    [[nodiscard]] static BigUint from_words(std::span<const Word> words) {
+        BigUint out;
+        out.limbs_.resize(2 * words.size());
+        for (std::size_t i = 0; i < words.size(); ++i) {
+            out.limbs_[2 * i] = static_cast<std::uint32_t>(words[i]);
+            out.limbs_[2 * i + 1] = static_cast<std::uint32_t>(words[i] >> 32);
+        }
+        out.trim();
+        return out;
+    }
+
+    std::size_t k_;
+    std::vector<Word> n_;
+    std::vector<Word> r2_;
+    std::vector<Word> scratch_;  ///< k + 2 words of CIOS accumulator
+    std::vector<Word> table_;    ///< kWindowSize entries of k words
+    std::vector<Word> acc_;
+    Word nprime_ = 0;
 };
 
 BigUint BigUint::mod_pow(const BigUint& base, const BigUint& exponent,
@@ -384,17 +455,8 @@ BigUint BigUint::mod_pow(const BigUint& base, const BigUint& exponent,
     if (modulus == BigUint(1)) return {};
     if (exponent.is_zero()) return BigUint(1);
 
-    if (modulus.is_odd()) {
-        const Montgomery mont(modulus);
-        BigUint result = mont.to_mont(BigUint(1));
-        BigUint acc = mont.to_mont(base);
-        const std::size_t bits = exponent.bit_length();
-        for (std::size_t i = 0; i < bits; ++i) {
-            if (exponent.bit(i)) result = mont.mul(result, acc);
-            if (i + 1 < bits) acc = mont.mul(acc, acc);
-        }
-        return mont.from_mont(result);
-    }
+    if (modulus.is_odd())
+        return Montgomery64(modulus).pow(base % modulus, exponent);
 
     // Generic square-and-multiply with division-based reduction.
     BigUint result(1);
@@ -502,9 +564,12 @@ bool BigUint::is_probable_prime(const BigUint& n, int rounds,
         47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103};
     if (n < BigUint(2)) return false;
     for (const std::uint32_t p : kSmallPrimes) {
-        const BigUint bp(p);
-        if (n == bp) return true;
-        if ((n % bp).is_zero()) return false;
+        if (n.limbs_.size() == 1 && n.limbs_[0] == p) return true;
+        // Single-limb remainder, most significant limb first.
+        std::uint64_t rem = 0;
+        for (std::size_t i = n.limbs_.size(); i-- > 0;)
+            rem = ((rem << 32) | n.limbs_[i]) % p;
+        if (rem == 0) return false;
     }
 
     // n - 1 = d * 2^s with d odd.

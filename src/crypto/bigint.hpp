@@ -3,9 +3,11 @@
 //
 // This is the arithmetic substrate for the RSA identity layer (paper §4.2,
 // Figure 2).  Limbs are little-endian uint32 so schoolbook multiplication
-// and Knuth Algorithm D division can use 64-bit intermediates; modular
-// exponentiation uses Montgomery multiplication for odd moduli (always the
-// case for RSA) with a square-and-multiply fallback otherwise.
+// and Knuth Algorithm D division can use 64-bit intermediates.  Modular
+// exponentiation with an odd modulus (always the case for RSA) runs in a
+// fixed-width Montgomery context: 64-bit words, 128-bit products, a fixed
+// 4-bit window, and no heap allocation inside the loop.  Even moduli take
+// a division-based square-and-multiply path.
 
 #include <compare>
 #include <cstdint>
@@ -97,7 +99,7 @@ public:
                                                 int mr_rounds = 20);
 
 private:
-    friend class Montgomery;
+    friend class Montgomery64;
     void trim() noexcept;
 
     std::vector<std::uint32_t> limbs_;  // little-endian, trimmed

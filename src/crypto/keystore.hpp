@@ -5,10 +5,15 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "crypto/rsa.hpp"
 #include "support/rng.hpp"
+
+namespace fairbfl::support {
+class ThreadPool;
+}  // namespace fairbfl::support
 
 namespace fairbfl::crypto {
 
@@ -28,6 +33,11 @@ public:
 
     /// Creates (or returns the existing) key pair for `id`.
     void register_node(NodeId id);
+
+    /// register_node for every id, generating the new key pairs in
+    /// parallel on `pool`.  Each id draws from its own Rng fork, so the
+    /// keys are identical to serial registration at any thread count.
+    void register_nodes(std::span<const NodeId> ids, support::ThreadPool& pool);
 
     [[nodiscard]] bool has_node(NodeId id) const noexcept;
     [[nodiscard]] bool crypto_enabled() const noexcept { return key_bits_ != 0; }

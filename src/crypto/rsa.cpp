@@ -1,6 +1,7 @@
 #include "crypto/rsa.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace fairbfl::crypto {
 
@@ -39,15 +40,37 @@ RsaKeyPair generate_keypair(std::size_t bits, support::Rng& rng) {
         const BigUint phi = (p - BigUint(1)) * (q - BigUint(1));
         const auto d = BigUint::mod_inverse(e, phi);
         if (!d.has_value()) continue;  // gcd(e, phi) != 1; retry
-        return RsaKeyPair{RsaPublicKey{n, e}, RsaPrivateKey{n, *d}};
+        // p != q are both prime, so q is invertible mod p.
+        BigUint qinv = *BigUint::mod_inverse(q, p);
+        BigUint dp = *d % (p - BigUint(1));
+        BigUint dq = *d % (q - BigUint(1));
+        return RsaKeyPair{
+            RsaPublicKey{n, e},
+            RsaPrivateKey{.n = n,
+                          .d = *d,
+                          .p = p,
+                          .q = std::move(q),
+                          .dp = std::move(dp),
+                          .dq = std::move(dq),
+                          .qinv = std::move(qinv)}};
     }
+}
+
+BigUint private_op(const RsaPrivateKey& key, const BigUint& c) {
+    // Garner: m1 = c^dp mod p, m2 = c^dq mod q,
+    // m = m2 + q * (qinv * (m1 - m2) mod p).
+    const BigUint m1 = BigUint::mod_pow(c, key.dp, key.p);
+    const BigUint m2 = BigUint::mod_pow(c, key.dq, key.q);
+    const BigUint m2_mod_p = m2 % key.p;
+    const BigUint diff =
+        m1 >= m2_mod_p ? m1 - m2_mod_p : m1 + key.p - m2_mod_p;
+    return m2 + key.q * ((key.qinv * diff) % key.p);
 }
 
 RsaSignature sign_digest(const RsaPrivateKey& key, const Digest& digest) {
     const std::size_t width = key.modulus_bytes();
     const BigUint m = emsa_encode(digest, width);
-    const BigUint s = BigUint::mod_pow(m, key.d, key.n);
-    return s.to_bytes_be(width);
+    return private_op(key, m).to_bytes_be(width);
 }
 
 bool verify_digest(const RsaPublicKey& key, const Digest& digest,
@@ -96,7 +119,11 @@ std::vector<std::uint8_t> decrypt(const RsaPrivateKey& key,
     if (ciphertext.size() != key.modulus_bytes())
         throw std::length_error("RSA decrypt: bad ciphertext length");
     const BigUint c = BigUint::from_bytes_be(ciphertext);
-    const BigUint m = BigUint::mod_pow(c, key.d, key.n);
+    // Like verify_digest's s >= n check: a ciphertext integer outside
+    // [0, n) is malformed, never silently reduced.
+    if (c >= key.n)
+        throw std::runtime_error("RSA decrypt: ciphertext >= modulus");
+    const BigUint m = private_op(key, c);
     std::vector<std::uint8_t> bytes =
         m.to_bytes_be((m.bit_length() + 7) / 8);
     if (bytes.empty() || bytes[0] != 0x01)

@@ -204,6 +204,16 @@ inline Label round_mine() {
     static const Label id = intern("round.mine");
     return id;
 }
+/// Procedure II upload phase: sign, verify, encrypt and open every upload.
+inline Label round_uploads() {
+    static const Label id = intern("round.uploads");
+    return id;
+}
+/// One client's upload inside round.uploads (worker busy time).
+inline Label upload_client() {
+    static const Label id = intern("upload.client");
+    return id;
+}
 inline Label index_build() {
     static const Label id = intern("cluster.index_build");
     return id;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/bigint.hpp"
+#include "crypto/rsa.hpp"
 
 namespace {
 
@@ -127,6 +128,83 @@ TEST(BigUint, ModPowMatchesNaiveOnRandomInputs) {
             BigUint::mod_pow(BigUint(base), BigUint(exp), BigUint(mod)),
             BigUint(naive))
             << base << "^" << exp << " mod " << mod;
+    }
+}
+
+/// Division-based square-and-multiply: the oracle the Montgomery kernel
+/// must reproduce exactly.
+BigUint reference_mod_pow(const BigUint& base, const BigUint& exponent,
+                          const BigUint& modulus) {
+    BigUint result = BigUint(1) % modulus;
+    BigUint acc = base % modulus;
+    for (std::size_t i = 0; i < exponent.bit_length(); ++i) {
+        if (exponent.bit(i)) result = (result * acc) % modulus;
+        acc = (acc * acc) % modulus;
+    }
+    return result;
+}
+
+TEST(BigUint, ModPowMatchesDivisionReferenceAcrossWidths) {
+    Rng rng(2024);
+    // Odd 32-bit limb counts (96, 160, 1056 bits) leave the top 64-bit
+    // Montgomery word half empty; 4096 bits is the widest key the tree
+    // could ask for.
+    for (const std::size_t bits :
+         {96UL, 128UL, 160UL, 192UL, 255UL, 256UL, 512UL, 1024UL, 1056UL,
+          2048UL, 4096UL}) {
+        BigUint modulus = BigUint::random_bits(bits, rng);
+        if (!modulus.is_odd()) modulus = modulus + BigUint(1);
+        // Long exponents on the narrow moduli; the wide ones keep the
+        // reference affordable.
+        const std::size_t exp_bits = bits <= 1056 ? bits : 160;
+        const BigUint exponent = BigUint::random_bits(exp_bits, rng);
+        const BigUint below = BigUint::random_below(modulus, rng);
+        const BigUint above = modulus + BigUint::random_bits(bits / 2, rng);
+        const BigUint twice_wide = BigUint::random_bits(2 * bits + 7, rng);
+        for (const BigUint& base :
+             {below, above, twice_wide, modulus, modulus - BigUint(1),
+              BigUint{}, BigUint(1), BigUint(2)}) {
+            for (const BigUint& e :
+                 {exponent, BigUint{}, BigUint(1), BigUint(2),
+                  BigUint(65537), BigUint(0xF0F0F0F0ULL)}) {
+                EXPECT_EQ(BigUint::mod_pow(base, e, modulus),
+                          reference_mod_pow(base, e, modulus))
+                    << bits << "-bit modulus, base " << base.to_hex()
+                    << ", exponent " << e.to_hex();
+            }
+        }
+    }
+}
+
+TEST(BigUint, ModPowEvenModuliMatchReference) {
+    Rng rng(2025);
+    for (const std::size_t bits : {64UL, 96UL, 512UL}) {
+        BigUint modulus = BigUint::random_bits(bits, rng);
+        if (modulus.is_odd()) modulus = modulus + BigUint(1);
+        const BigUint base = BigUint::random_bits(bits + 3, rng);
+        const BigUint exponent = BigUint::random_bits(bits, rng);
+        EXPECT_EQ(BigUint::mod_pow(base, exponent, modulus),
+                  reference_mod_pow(base, exponent, modulus))
+            << bits;
+    }
+}
+
+TEST(BigUint, CrtPrivateOpEqualsFullExponentiation) {
+    for (const std::size_t bits : {96UL, 384UL, 512UL, 1024UL}) {
+        Rng rng(bits + 1);
+        const auto keys = fairbfl::crypto::generate_keypair(bits, rng);
+        const auto& priv = keys.priv;
+        EXPECT_EQ(priv.p * priv.q, priv.n);
+        // Residues that stress Garner's recombination: zero, one, n - 1,
+        // the factors themselves (m1 or m2 vanishes), and random values.
+        std::vector<BigUint> inputs{BigUint{}, BigUint(1),
+                                    priv.n - BigUint(1), priv.p, priv.q};
+        for (int i = 0; i < 8; ++i)
+            inputs.push_back(BigUint::random_below(priv.n, rng));
+        for (const BigUint& m : inputs)
+            EXPECT_EQ(fairbfl::crypto::private_op(priv, m),
+                      BigUint::mod_pow(m, priv.d, priv.n))
+                << bits << "-bit key, m = " << m.to_hex();
     }
 }
 

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "core/fairbfl.hpp"
 #include "ml/partition.hpp"
 #include "ml/synthetic_mnist.hpp"
+#include "support/parallel.hpp"
 
 namespace {
 
@@ -330,6 +334,63 @@ TEST(FairBfl, EncryptedGradientPathLearnsIdentically) {
     EXPECT_TRUE(std::equal(plain.weights().begin(), plain.weights().end(),
                            encrypted.weights().begin()));
     EXPECT_GT(rec_enc.delay.t_up, rec_plain.delay.t_up);  // bigger payload
+}
+
+/// Hexfloat fingerprint of a run: every record's outcome, the ledger and
+/// the chain tip hash.
+std::string series_fingerprint(const core::FairBfl& system,
+                               const std::vector<core::BflRoundRecord>& records) {
+    std::string out;
+    char line[256];
+    for (const auto& r : records) {
+        std::snprintf(line, sizeof line,
+                      "r%llu acc=%a loss=%a delay=%a t_up=%a on=%zu late=%zu "
+                      "part=%zu reward=%a low=%zu\n",
+                      static_cast<unsigned long long>(r.fl.round),
+                      r.fl.test_accuracy, r.fl.mean_local_loss,
+                      r.delay.total(), r.delay.t_up, r.on_time_updates,
+                      r.late_updates, r.fl.participants, r.round_reward_total,
+                      r.low_contribution_clients.size());
+        out += line;
+    }
+    for (const auto& entry : system.ledger().history()) {
+        std::snprintf(line, sizeof line, "L%llu c%u %a\n",
+                      static_cast<unsigned long long>(entry.round),
+                      static_cast<unsigned>(entry.client), entry.amount);
+        out += line;
+    }
+    out += fairbfl::crypto::to_hex(system.blockchain().tip().header.hash());
+    return out;
+}
+
+TEST(FairBfl, SignedEncryptedUploadsIdenticalAcrossThreadCounts) {
+    // The upload phase (sign, verify, encrypt, open) runs on the pool; an
+    // engaged quorum/retroactive round must not notice the thread count.
+    World world;
+    auto config = fast_config();
+    config.fl.client_ratio = 1.0;
+    config.key_bits = 512;
+    config.encrypt_gradients = true;
+    config.round.quorum_fraction = 0.8;
+    config.round.deadline_ns = 20'000'000'000ULL;  // 20 virtual seconds
+    config.round.late_policy = core::LatePolicy::kRetroactive;
+    std::string fingerprints[2];
+    for (const unsigned threads : {1U, 4U}) {
+        fairbfl::support::ThreadPool pool(threads);
+        config.pool = &pool;
+        core::FairBfl system(*world.model, world.clients(), world.test,
+                             config);
+        const auto records = system.run(4);
+        for (const auto& r : records) ASSERT_GT(r.late_updates, 0U);
+        fingerprints[threads == 1 ? 0 : 1] =
+            series_fingerprint(system, records);
+    }
+    EXPECT_EQ(fingerprints[0], fingerprints[1]);
+    // The tip hash commits to every signed block: captured before the
+    // upload phase moved onto the pool and the RSA kernel was rewritten.
+    EXPECT_TRUE(fingerprints[0].ends_with(
+        "1344443bc755ca6eb9832359255be3fccbea81e654464622b25b8ca43bce34b8"))
+        << fingerprints[0];
 }
 
 TEST(FairBfl, IncentiveDisabledStillAggregates) {

@@ -272,6 +272,29 @@ TEST(TelemetryPin, LiveWallMatchesDecodedDumpExactly) {
     EXPECT_EQ(r0.labels.at("local.client").spans, 32U);
 }
 
+TEST(TelemetryPin, UploadPhaseSpansEveryClient) {
+    // Procedure II's sign/verify/encrypt/open work sits under one
+    // round.uploads span per round, with one upload.client span per
+    // update on whichever worker ran it.
+    tel::set_enabled(true);
+    World world;
+    auto config = pin_config();
+    config.key_bits = 384;
+    config.encrypt_gradients = true;
+    core::FairBfl system(*world.model, world.clients(), world.test, config);
+    const std::uint32_t sid = system.telemetry_session().id();
+    tel::capture_begin();
+    (void)system.run(2);
+    const tel::Dump dump = tel::capture_end();
+    for (std::uint32_t r = 0; r < 2; ++r) {
+        const tel::RoundStats stats = tel::dump_round_stats(dump, sid, r);
+        EXPECT_EQ(stats.labels.at("round.uploads").spans, 1U) << r;
+        EXPECT_EQ(stats.labels.at("upload.client").spans, 32U) << r;
+        EXPECT_GT(stats.seconds_of("round.uploads"), 0.0) << r;
+        EXPECT_GT(stats.seconds_of("upload.client"), 0.0) << r;
+    }
+}
+
 // --- JSON schema pin --------------------------------------------------------
 
 TEST(TelemetryDecode, JsonSchemaIsPinned) {
