@@ -66,17 +66,23 @@ void BM_IndexBuild(benchmark::State& state) {
     for (auto _ : state)
         benchmark::DoNotOptimize(Backend(points, params));
 }
+/// Args: {points, dims}.  {361, 7850} is the attack_n384_exact round's
+/// dense Euclidean build (360 updates + the provisional global, the
+/// logistic model's 7850 parameters) -- cluster.index_build_s in
+/// isolation, without the round's noise around it.
 template <>
 void BM_IndexBuild<cluster::ExactIndex>(benchmark::State& state) {
     const auto points =
-        gradient_like_points(static_cast<std::size_t>(state.range(0)), 650);
+        gradient_like_points(static_cast<std::size_t>(state.range(0)),
+                             static_cast<std::size_t>(state.range(1)));
     for (auto _ : state)
         benchmark::DoNotOptimize(
             cluster::ExactIndex(cluster::Metric::kEuclidean, points));
 }
 BENCHMARK(BM_IndexBuild<cluster::ExactIndex>)
-    ->Arg(100)
-    ->Arg(250)
+    ->Args({100, 650})
+    ->Args({250, 650})
+    ->Args({361, 7850})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IndexBuild<cluster::RandomProjectionIndex>)
     ->Arg(100)

@@ -131,8 +131,9 @@ int main(int argc, char** argv) {
             "                         sampled)\n"
             "  --shards=1             hierarchical shard-tree fan-out\n"
             "                         (1 = flat single-pass Algorithm 2)\n"
-            "  --kernels=scalar       vector-kernel table: scalar|simd|auto\n"
-            "                         (scalar = the bit-pinned default)\n"
+            "  --kernels=             vector-kernel table: scalar|simd|auto\n"
+            "                         (default: FAIRBFL_KERNELS, else\n"
+            "                         scalar = the bit-pinned default)\n"
             "  --quorum=1.0           aggregate once this fraction arrived\n"
             "  --deadline-ms=0        virtual round deadline (0 = none)\n"
             "  --late=next_round      late-gradient policy:\n"
@@ -153,7 +154,8 @@ int main(int argc, char** argv) {
     const std::string engine = args.get_string("engine", "batched");
     const std::string index = args.get_string("index", "exact");
     const auto shards = static_cast<std::size_t>(args.get_int("shards", 1));
-    const std::string kernels = args.get_string("kernels", "scalar");
+    // Like fairbfl_sim: only an explicit flag overrides FAIRBFL_KERNELS.
+    const std::string kernels = args.get_string("kernels", "");
     const double quorum = args.get_double("quorum", 1.0);
     const double deadline_ms = args.get_double("deadline-ms", 0.0);
     const std::string late = args.get_string("late", "next_round");
@@ -172,7 +174,7 @@ int main(int argc, char** argv) {
                      "--deadline-ms >= 0, 0 <= --churn < 1\n");
         return 1;
     }
-    if (!support::simd::set_mode_name(kernels.c_str())) {
+    if (!kernels.empty() && !support::simd::set_mode_name(kernels.c_str())) {
         std::fprintf(stderr, "bench_perf_round: bad --kernels '%s'\n",
                      kernels.c_str());
         return 1;
@@ -274,7 +276,8 @@ int main(int argc, char** argv) {
     json += "  \"index\": \"" + index + "\",\n";
     // Requested mode plus the table that actually served (auto on a
     // non-AVX2 host degrades to scalar; A/B consumers must see which).
-    json += "  \"kernels\": \"" + kernels + "\",\n";
+    json += "  \"kernels\": \"" +
+            std::string(support::simd::requested_mode_name()) + "\",\n";
     json += "  \"kernels_active\": \"" +
             std::string(support::simd::active_name()) + "\",\n";
     json += "  \"late\": \"" + late + "\",\n";

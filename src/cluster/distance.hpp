@@ -29,15 +29,25 @@ enum class Metric : std::uint8_t {
 
 /// Symmetric n x n pairwise distance matrix (row-major, zero diagonal).
 ///
-/// Construction fans the row range out over the thread pool; every entry
-/// is computed independently and written exactly once, so the values are
-/// identical under any thread count.  Under the cosine metric the per-point
-/// L2 norms are computed once and cached (one dot per pair instead of
-/// three), bit-identical to pairwise cosine_distance.  Under the Euclidean
-/// metric the blocked kernel is used: entries may differ from the exact
-/// kernel in the last ulps, which is safe because every consumer compares
-/// distances (eps thresholds, nearest-neighbour argmins) rather than
-/// feeding them into reward or training arithmetic.
+/// Construction fans the upper triangle out over the thread pool; every
+/// entry is computed independently and written exactly once (with its
+/// mirror), so the values are identical under any thread count.
+///
+/// Euclidean: task t owns rows 2t and 2t+1 and walks the columns to their
+/// right in 2x4 register tiles (support::squared_distance_tile); on AVX2
+/// CPUs each row element is widened once per four columns and each column
+/// element once per two rows instead of once per pair.  The tile
+/// reproduces the scalar table's blocked kernel (four partial sums,
+/// combined pairwise, then the tail) bit for bit, and the few pairs
+/// outside the tile grid use that kernel directly -- so Euclidean entries
+/// are identical under the scalar and the simd kernel tables.  The blocked sum is reassociated
+/// relative to the strict `distance()`, which is safe because every
+/// consumer compares distances (eps thresholds, nearest-neighbour
+/// argmins) rather than feeding them into reward or training arithmetic.
+///
+/// Cosine: the per-point L2 norms are computed once and cached (one dot
+/// per pair instead of three), bit-identical to pairwise cosine_distance
+/// under the active kernel table.
 class DistanceMatrix {
 public:
     /// Empty matrix (size() == 0).

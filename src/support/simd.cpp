@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 namespace fairbfl::support::simd {
 
@@ -184,6 +185,18 @@ void scalar_dot_and_norm(const float* x, const float* y, std::size_t n,
     *x_norm2_out = scalar_dot(x, x, n);
 }
 
+// --- The exact 2x4 squared-distance tile (portable variant) ---------------
+// Eight calls of the scalar blocked kernel: bit-identical by construction,
+// and exactly what a CPU without AVX2 ran per pair before the tile existed.
+
+void portable_tile(const float* x0, const float* x1, const float* const* y,
+                   std::size_t n, double* out) {
+    const float* const x[2] = {x0, x1};
+    for (std::size_t r = 0; r < 2; ++r)
+        for (std::size_t c = 0; c < 4; ++c)
+            out[4 * r + c] = scalar_squared_distance_blocked(x[r], y[c], n);
+}
+
 constexpr KernelTable kScalarTable = {
     scalar_dot,
     scalar_dot_blocked,
@@ -227,16 +240,29 @@ void publish(const KernelTable* table) noexcept {
     }
 }
 
-const KernelTable* resolve_from_env() noexcept {
-    const char* env = std::getenv("FAIRBFL_KERNELS");
-    Mode mode = Mode::kScalar;  // unset/unknown: the pinned default
-    if (env != nullptr) {
-        if (std::strcmp(env, "simd") == 0) {
-            mode = Mode::kSimd;
-        } else if (std::strcmp(env, "auto") == 0) {
-            mode = Mode::kAuto;
+// The one spelling of each Mode, indexed by its value: the env variable,
+// set_mode_name() and requested_mode_name() all go through it.
+constexpr const char* kModeNames[] = {"scalar", "simd", "auto"};
+static_assert(std::size(kModeNames) ==
+              static_cast<std::size_t>(Mode::kAuto) + 1);
+
+bool parse_mode(const char* name, Mode* mode) noexcept {
+    if (name == nullptr) return false;
+    for (std::size_t m = 0; m < std::size(kModeNames); ++m) {
+        if (std::strcmp(name, kModeNames[m]) == 0) {
+            *mode = static_cast<Mode>(m);
+            return true;
         }
     }
+    return false;
+}
+
+std::atomic<Mode> g_requested{Mode::kScalar};
+
+const KernelTable* resolve_from_env() noexcept {
+    Mode mode = Mode::kScalar;  // unset/unknown: the pinned default
+    (void)parse_mode(std::getenv("FAIRBFL_KERNELS"), &mode);
+    g_requested.store(mode, std::memory_order_relaxed);
     const KernelTable* table = resolve(mode);
     // First-use race: both writers store the same resolved pointer, so
     // losing the exchange is harmless; publish() de-dups the telemetry.
@@ -264,20 +290,22 @@ void set_dispatch_observer(DispatchObserver observer) noexcept {
     }
 }
 
-void set_mode(Mode mode) noexcept { publish(resolve(mode)); }
+void set_mode(Mode mode) noexcept {
+    g_requested.store(mode, std::memory_order_relaxed);
+    publish(resolve(mode));
+}
 
 bool set_mode_name(const char* name) noexcept {
-    if (name == nullptr) return false;
-    if (std::strcmp(name, "scalar") == 0) {
-        set_mode(Mode::kScalar);
-    } else if (std::strcmp(name, "simd") == 0) {
-        set_mode(Mode::kSimd);
-    } else if (std::strcmp(name, "auto") == 0) {
-        set_mode(Mode::kAuto);
-    } else {
-        return false;
-    }
+    Mode mode = Mode::kScalar;
+    if (!parse_mode(name, &mode)) return false;
+    set_mode(mode);
     return true;
+}
+
+const char* requested_mode_name() noexcept {
+    (void)active();  // first use: resolve FAIRBFL_KERNELS
+    return kModeNames[static_cast<std::size_t>(
+        g_requested.load(std::memory_order_relaxed))];
 }
 
 const KernelTable& active() noexcept {
@@ -288,8 +316,22 @@ const KernelTable& active() noexcept {
 
 const char* active_name() noexcept { return active().name; }
 
+SquaredDistanceTile squared_distance_tile() noexcept {
+    // CPUID only: the variants agree bit for bit, so Mode has no say.
+    static const SquaredDistanceTile tile = [] {
+        const SquaredDistanceTile avx2 = detail::avx2_squared_distance_tile();
+        return avx2 != nullptr && cpu_supports_avx2_fma()
+                   ? avx2
+                   : portable_tile;
+    }();
+    return tile;
+}
+
 namespace detail {
 const KernelTable& scalar_table() noexcept { return kScalarTable; }
+SquaredDistanceTile portable_squared_distance_tile() noexcept {
+    return portable_tile;
+}
 }  // namespace detail
 
 }  // namespace fairbfl::support::simd

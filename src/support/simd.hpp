@@ -30,6 +30,17 @@
 // the "kernels.dispatch" telemetry counter (0 = scalar, 1 = avx2) so
 // perf artifacts can attribute a fast run to the table that served it.
 //
+// Exact kernels are the one exception to the table.  A kernel whose every
+// variant performs the scalar reference's operations in the scalar
+// reference's order -- same widenings, same separate multiply and add
+// (never FMA), same partial sums, same combine -- has a single rounding,
+// so the scalar/simd choice has nothing to decide.  Such a kernel lives
+// outside the KernelTable, is dispatched by CPUID alone (never by
+// FAIRBFL_KERNELS or set_mode()), and is held to memcmp equality with the
+// scalar reference, not to a tolerance.  The one today is the 2x4
+// squared-distance tile below, whose AVX2 lanes are exactly the four
+// partial sums of the scalar table's squared_distance_blocked.
+//
 // docs/ARCHITECTURE.md ("Kernel dispatch & the tolerance-pin convention")
 // carries the how-to for adding another variant.
 
@@ -100,6 +111,11 @@ bool set_mode_name(const char* name) noexcept;
 /// Name of the active table ("scalar" / "avx2") for headers and logs.
 [[nodiscard]] const char* active_name() noexcept;
 
+/// Spelling of the Mode the active table was resolved from ("scalar" |
+/// "simd" | "auto"): the last set_mode(), else FAIRBFL_KERNELS (unset or
+/// unknown -> "scalar").  The requested side of perf headers.
+[[nodiscard]] const char* requested_mode_name() noexcept;
+
 /// Notified with the table name whenever dispatch publishes a different
 /// kernel table.  Must be noexcept: it can fire from whichever thread
 /// first touches the dispatch state.
@@ -112,7 +128,27 @@ using DispatchObserver = void (*)(const char* table_name) noexcept;
 /// dispatch registers itself through this hook instead (telemetry.cpp).
 void set_dispatch_observer(DispatchObserver observer) noexcept;
 
+/// Exact 2x4 squared-distance tile: out[4 * r + c] is the scalar table's
+/// squared_distance_blocked(x_r, y[c], n) for r in {0, 1} (x_0 = x0,
+/// x_1 = x1) and c in [0, 4), bit for bit.  In the AVX2 variant each row
+/// load is shared by four columns and each column load by both rows.  y
+/// holds four column pointers, each to n floats.
+using SquaredDistanceTile = void (*)(const float* x0, const float* x1,
+                                     const float* const* y, std::size_t n,
+                                     double* out);
+
+/// The tile variant for this CPU: AVX2 when CPUID reports it (and the
+/// binary carries the AVX2 TU), else the portable variant (eight calls of
+/// the scalar blocked kernel).  Resolved on first call; Mode never enters
+/// into it (see "Exact kernels" above).
+[[nodiscard]] SquaredDistanceTile squared_distance_tile() noexcept;
+
 namespace detail {
+/// The portable tile (any CPU): eight scalar blocked-kernel calls.
+[[nodiscard]] SquaredDistanceTile portable_squared_distance_tile() noexcept;
+/// The AVX2 tile, or nullptr when this binary was built without the
+/// AVX2 TU.  Callers must still check cpu_supports_avx2_fma().
+[[nodiscard]] SquaredDistanceTile avx2_squared_distance_tile() noexcept;
 /// The AVX2+FMA table, or nullptr when this binary was built without the
 /// -mavx2 -mfma TU (non-x86 targets, compilers without the flags).  Lives
 /// in simd_avx2.cpp so only that TU needs the wide-ISA flags.

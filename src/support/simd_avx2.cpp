@@ -11,6 +11,9 @@
 // the transpose accumulate) fuse the multiply-add per lane, which rounds
 // once instead of twice per element.  tests/test_kernel_parity.cpp bounds
 // the divergence; nothing dispatched here may feed a bit-pin assertion.
+// The one exception is the exact squared-distance tile at the end of the
+// file, which sits outside the KernelTable and matches the scalar
+// reference bit for bit.
 //
 // When the build cannot enable AVX2+FMA (non-x86 target, flags rejected),
 // the guard below compiles this TU down to a null table and the dispatcher
@@ -180,6 +183,52 @@ void avx2_dot_and_norm(const float* x, const float* y, std::size_t n,
     *x_norm2_out = nrm;
 }
 
+// --- The exact 2x4 squared-distance tile ----------------------------------
+// Unlike everything above this is bit-pinned (see "Exact kernels" in
+// simd.hpp): per pair, the four lanes of acc[r][c] ARE the scalar
+// squared_distance_blocked's partial sums a0..a3 -- lane k sees elements
+// i + k, widened, subtracted, squared and added by separate instructions,
+// so every lane runs the scalar op sequence.  No FMA here: d * d rounds,
+// and fusing it into the add would skip that rounding.  The lanes are then
+// combined (a0 + a1) + (a2 + a3) and the tail runs the scalar loop.
+
+inline double combine_lanes(__m256d v) noexcept {
+    alignas(32) double lane[4];
+    _mm256_store_pd(lane, v);
+    return (lane[0] + lane[1]) + (lane[2] + lane[3]);
+}
+
+void avx2_tile(const float* x0, const float* x1, const float* const* y,
+               std::size_t n, double* out) {
+    __m256d acc[2][4];
+    for (auto& row : acc)
+        for (auto& a : row) a = _mm256_setzero_pd();
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const __m256d xw0 = load4d(x0 + i);
+        const __m256d xw1 = load4d(x1 + i);
+        for (std::size_t c = 0; c < 4; ++c) {
+            const __m256d yw = load4d(y[c] + i);
+            const __m256d d0 = _mm256_sub_pd(xw0, yw);
+            const __m256d d1 = _mm256_sub_pd(xw1, yw);
+            acc[0][c] = _mm256_add_pd(acc[0][c], _mm256_mul_pd(d0, d0));
+            acc[1][c] = _mm256_add_pd(acc[1][c], _mm256_mul_pd(d1, d1));
+        }
+    }
+    const float* const x[2] = {x0, x1};
+    for (std::size_t r = 0; r < 2; ++r) {
+        for (std::size_t c = 0; c < 4; ++c) {
+            double sum = combine_lanes(acc[r][c]);
+            for (std::size_t j = i; j < n; ++j) {
+                const double d =
+                    static_cast<double>(x[r][j]) - static_cast<double>(y[c][j]);
+                sum += d * d;
+            }
+            out[4 * r + c] = sum;
+        }
+    }
+}
+
 constexpr KernelTable kAvx2Table = {
     avx2_dot,
     avx2_dot,  // blocked == plain in a reassociated table
@@ -197,6 +246,9 @@ constexpr KernelTable kAvx2Table = {
 
 namespace detail {
 const KernelTable* avx2_table() noexcept { return &kAvx2Table; }
+SquaredDistanceTile avx2_squared_distance_tile() noexcept {
+    return avx2_tile;
+}
 }  // namespace detail
 
 }  // namespace fairbfl::support::simd
@@ -205,6 +257,7 @@ const KernelTable* avx2_table() noexcept { return &kAvx2Table; }
 
 namespace fairbfl::support::simd::detail {
 const KernelTable* avx2_table() noexcept { return nullptr; }
+SquaredDistanceTile avx2_squared_distance_tile() noexcept { return nullptr; }
 }  // namespace fairbfl::support::simd::detail
 
 #endif

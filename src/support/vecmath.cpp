@@ -65,6 +65,27 @@ double squared_distance_blocked(std::span<const float> x,
                                                    x.size());
 }
 
+double squared_distance_blocked_reference(std::span<const float> x,
+                                          std::span<const float> y) noexcept {
+    assert(x.size() == y.size());
+    return simd::detail::scalar_table().squared_distance_blocked(
+        x.data(), y.data(), x.size());
+}
+
+void squared_distance_tile(std::span<const float> x0,
+                           std::span<const float> x1,
+                           std::span<const std::span<const float>, 4> y,
+                           std::span<double, 8> out) noexcept {
+    assert(x0.size() == x1.size());
+    const float* cols[4];
+    for (std::size_t c = 0; c < 4; ++c) {
+        assert(y[c].size() == x0.size());
+        cols[c] = y[c].data();
+    }
+    simd::squared_distance_tile()(x0.data(), x1.data(), cols, x0.size(),
+                                  out.data());
+}
+
 void gemv(std::span<const float> a, std::size_t rows, std::size_t cols,
           std::span<const float> x, std::span<const float> bias,
           std::span<float> out) noexcept {

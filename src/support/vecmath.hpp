@@ -18,6 +18,12 @@
 //    are reserved for consumers that only *compare* the results -- e.g. the
 //    clustering distance matrix, where labels come from `d <= eps`
 //    thresholds -- and must not leak into training or rewards.
+//
+// Exact kernels (`squared_distance_tile` and its per-pair form
+// `squared_distance_blocked_reference`) are a third kind: they reproduce
+// one scalar reference bit for bit in every variant, so they ignore the
+// scalar/simd kernel mode and pick their variant by CPUID alone (contract
+// in support/simd.hpp, "Exact kernels").
 
 #include <cstddef>
 #include <span>
@@ -55,6 +61,23 @@ void fill(std::span<float> x, float value) noexcept;
 /// Blocked squared Euclidean distance (same contract as dot_blocked).
 [[nodiscard]] double squared_distance_blocked(
     std::span<const float> x, std::span<const float> y) noexcept;
+
+/// The scalar table's squared_distance_blocked whatever the kernel mode:
+/// the per-pair form of squared_distance_tile, for the pairs a tile grid
+/// leaves over.
+[[nodiscard]] double squared_distance_blocked_reference(
+    std::span<const float> x, std::span<const float> y) noexcept;
+
+/// Exact 2x4 tile: out[4 * r + c] = squared_distance_blocked_reference(
+/// x_r, y[c]) bit for bit, with x_0 = x0, x_1 = x1; all six rows must
+/// have the same size (asserted).  The AVX2 variant widens each row element
+/// once for four columns and each column element once for both rows --
+/// the hot loop of the Euclidean DistanceMatrix.  CPUID-dispatched (AVX2,
+/// else eight per-pair calls).
+void squared_distance_tile(std::span<const float> x0,
+                           std::span<const float> x1,
+                           std::span<const std::span<const float>, 4> y,
+                           std::span<double, 8> out) noexcept;
 
 /// Dense row-major matrix-vector product: out[r] = bias[r] + dot(row r of
 /// a, x) for r in [0, rows), where `a` is rows x cols.  This is the

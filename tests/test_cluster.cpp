@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "cluster/dbscan.hpp"
 #include "cluster/index.hpp"
 #include "cluster/kmeans.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/simd.hpp"
+#include "support/vecmath.hpp"
 
 namespace {
 
@@ -184,6 +189,77 @@ TEST(Distance, ParallelBuildBitIdenticalToSerial) {
             for (std::size_t j = 0; j < a.size(); ++j)
                 ASSERT_EQ(a.at(i, j), b.at(i, j)) << i << "," << j;
     }
+}
+
+/// n Gaussian points in `dims` dimensions.
+std::vector<std::vector<float>> gaussian_points(std::size_t n,
+                                                std::size_t dims,
+                                                std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<std::vector<float>> points(n, std::vector<float>(dims));
+    for (auto& p : points)
+        for (auto& x : p) x = static_cast<float>(rng.normal());
+    return points;
+}
+
+/// True when two matrices hold the same bytes.
+bool same_bytes(const cl::DistanceMatrix& a, const cl::DistanceMatrix& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (std::memcmp(a.row(i).data(), b.row(i).data(),
+                        a.size() * sizeof(double)) != 0)
+            return false;
+    return true;
+}
+
+TEST(Distance, EuclideanTileBuildBitIdenticalAcrossThreadCounts) {
+    // d >= 8 so every pair runs the tile body, not just its tail; d = 37
+    // adds a tail and n = 53 leaves a ragged row and ragged columns.
+    const auto points = gaussian_points(53, 37, 15);
+    fairbfl::support::ThreadPool serial(1);
+    fairbfl::support::ThreadPool parallel(4);
+    const cl::DistanceMatrix a(cl::Metric::kEuclidean, points, serial);
+    const cl::DistanceMatrix b(cl::Metric::kEuclidean, points, parallel);
+    EXPECT_TRUE(same_bytes(a, b));
+}
+
+TEST(Distance, EuclideanEntriesAreTheBlockedKernelPerPair) {
+    // Under the default scalar table, every entry is sqrt of the per-pair
+    // blocked kernel the matrix has always used -- tile grid, its ragged
+    // edges and the diagonal pair alike.  n = 361 is the attack round's
+    // point count (an odd row left over, ragged columns, d = 650).
+    namespace simd = fairbfl::support::simd;
+    simd::set_mode(simd::Mode::kScalar);
+    for (const std::size_t n : {2, 3, 5, 6, 9, 14, 361}) {
+        const std::size_t dims = n == 361 ? 650 : 37;
+        const auto points = gaussian_points(n, dims, 16 + n);
+        const cl::DistanceMatrix m(cl::Metric::kEuclidean, points);
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(m.at(i, i), 0.0);
+            for (std::size_t j = 0; j < n; ++j) {
+                if (i == j) continue;
+                const double want = std::sqrt(
+                    fairbfl::support::squared_distance_blocked(points[i],
+                                                               points[j]));
+                const double got = m.at(i, j);
+                EXPECT_EQ(std::memcmp(&got, &want, sizeof want), 0)
+                    << "n=" << n << " (" << i << "," << j << ")";
+            }
+        }
+    }
+}
+
+TEST(Distance, EuclideanMatrixIdenticalUnderScalarAndSimdTables) {
+    // The Euclidean build runs only exact kernels, so the kernel mode has
+    // nothing to change (the simd table's own blocked kernel would).
+    namespace simd = fairbfl::support::simd;
+    const auto points = gaussian_points(45, 130, 17);
+    simd::set_mode(simd::Mode::kScalar);
+    const cl::DistanceMatrix scalar(cl::Metric::kEuclidean, points);
+    simd::set_mode(simd::Mode::kSimd);
+    const cl::DistanceMatrix simd_built(cl::Metric::kEuclidean, points);
+    simd::set_mode(simd::Mode::kScalar);
+    EXPECT_TRUE(same_bytes(scalar, simd_built));
 }
 
 TEST(Distance, CosineMatrixCachesNorms) {

@@ -1,5 +1,9 @@
 // Kernel-dispatch parity harness (support/simd.hpp).
 //
+// The exact 2x4 squared-distance tile sits outside the table and is held
+// to the strictest standard of all: memcmp equality with four calls of the
+// scalar blocked kernel, for every variant this CPU can run.
+//
 // The scalar table is *bit-pinned*: its loops must match the strict
 // reference accumulation orders that produced every committed fixed-seed
 // series, so the first test re-states those loops locally and demands
@@ -13,8 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -116,6 +126,19 @@ TEST(Dispatch, ScalarIsTheDefaultAndUnknownNamesAreRejected) {
         EXPECT_STREQ(simd::active_name(), "scalar");  // graceful fallback
     }
     simd::set_mode(simd::Mode::kScalar);
+}
+
+TEST(Dispatch, RequestedModeNameFollowsTheLastRequest) {
+    // The requested side of perf headers: what was asked for, whatever
+    // table the CPU could serve.
+    EXPECT_TRUE(simd::set_mode_name("auto"));
+    EXPECT_STREQ(simd::requested_mode_name(), "auto");
+    simd::set_mode(simd::Mode::kSimd);
+    EXPECT_STREQ(simd::requested_mode_name(), "simd");
+    EXPECT_FALSE(simd::set_mode_name("avx512"));
+    EXPECT_STREQ(simd::requested_mode_name(), "simd");  // unchanged
+    simd::set_mode(simd::Mode::kScalar);
+    EXPECT_STREQ(simd::requested_mode_name(), "scalar");
 }
 
 TEST(KernelParity, Avx2WithinAnalyticToleranceOfScalar) {
@@ -249,6 +272,156 @@ TEST(KernelParity, DetectionWithin2PercentOfScalarOnAttackScenario) {
     const double scalar_rate = detection(simd::Mode::kScalar);
     EXPECT_GT(scalar_rate, 0.5);  // the defense itself must be working
     EXPECT_NEAR(detection(simd::Mode::kSimd), scalar_rate, 0.02);
+}
+
+// --- The exact squared-distance tile ---------------------------------------
+
+/// Every tile variant this binary can run here: the portable one always,
+/// the AVX2 lanes when the TU is built and CPUID allows them.
+std::vector<std::pair<std::string, simd::SquaredDistanceTile>>
+tile_variants() {
+    std::vector<std::pair<std::string, simd::SquaredDistanceTile>> out = {
+        {"portable", simd::detail::portable_squared_distance_tile()}};
+    const simd::SquaredDistanceTile avx2 =
+        simd::detail::avx2_squared_distance_tile();
+    if (avx2 != nullptr && simd::cpu_supports_avx2_fma())
+        out.emplace_back("avx2", avx2);
+    return out;
+}
+
+/// memcmp of one tile call against the scalar blocked kernel per pair.
+::testing::AssertionResult tile_matches_reference(
+    simd::SquaredDistanceTile tile, const float* x0, const float* x1,
+    const std::array<const float*, 4>& y, std::size_t n) {
+    std::array<double, 8> got{};
+    tile(x0, x1, y.data(), n, got.data());
+    const auto reference =
+        simd::detail::scalar_table().squared_distance_blocked;
+    const float* const x[2] = {x0, x1};
+    for (std::size_t r = 0; r < 2; ++r) {
+        for (std::size_t c = 0; c < 4; ++c) {
+            const double want = reference(x[r], y[c], n);
+            if (std::memcmp(&got[4 * r + c], &want, sizeof want) != 0) {
+                std::ostringstream bits;
+                bits << std::hexfloat << got[4 * r + c] << " vs reference "
+                     << want;
+                return ::testing::AssertionFailure()
+                       << "pair (" << r << "," << c << ") n=" << n
+                       << ": tile " << bits.str();
+            }
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+std::vector<std::vector<float>> random_rows(std::size_t count, std::size_t n,
+                                            Rng& rng) {
+    std::vector<std::vector<float>> rows;
+    for (std::size_t r = 0; r < count; ++r)
+        rows.push_back(random_vector(n, rng));
+    return rows;
+}
+
+TEST(ExactTile, EveryVariantMatchesBlockedReferenceBitForBit) {
+    // Dimensions straddle the 4-wide body: pure tail (1-3), exact blocks
+    // (4, 8), block + tail (5, 7, 7851) and production widths.
+    Rng rng(31);
+    for (const auto& [name, tile] : tile_variants()) {
+        for (const std::size_t n :
+             {1, 2, 3, 4, 5, 7, 8, 650, 7850, 7851}) {
+            const auto rows = random_rows(6, n, rng);
+            EXPECT_TRUE(tile_matches_reference(
+                tile, rows[0].data(), rows[1].data(),
+                {rows[2].data(), rows[3].data(), rows[4].data(),
+                 rows[5].data()},
+                n))
+                << name;
+        }
+    }
+}
+
+TEST(ExactTile, ZeroRowsAndExtremeMagnitudes) {
+    Rng rng(33);
+    const std::size_t n = 23;
+    // Magnitudes log-uniform over [1e-30, 1e30] with random signs: squares
+    // span ~1e-60..1e60, well inside double range, so every partial sum
+    // is a real rounding problem rather than an overflow.
+    auto extreme = [&] {
+        std::vector<float> v(n);
+        for (auto& x : v) {
+            const double mag = std::pow(10.0, rng.uniform(-30.0, 30.0));
+            x = static_cast<float>(rng.uniform() < 0.5 ? -mag : mag);
+        }
+        return v;
+    };
+    const std::vector<float> zero(n, 0.0F);
+    const auto a = extreme();
+    const auto b = extreme();
+    const auto c = extreme();
+    const auto d = random_vector(n, rng);
+    for (const auto& [name, tile] : tile_variants()) {
+        EXPECT_TRUE(tile_matches_reference(
+            tile, zero.data(), a.data(),
+            {b.data(), zero.data(), c.data(), d.data()}, n))
+            << name;
+        EXPECT_TRUE(tile_matches_reference(
+            tile, a.data(), b.data(),
+            {c.data(), d.data(), zero.data(), a.data()}, n))
+            << name;
+    }
+}
+
+TEST(ExactTile, NonFiniteEntriesMatchReference) {
+    // A row holding +inf, -inf and NaN among finite values, as a tile row
+    // and as a tile column against finite partners.  Each pair's squares
+    // are then +inf or the input's quiet NaN (never inf - inf), so the
+    // reference bits -- NaN payload included -- are well defined.
+    Rng rng(34);
+    const std::size_t n = 13;
+    auto bad = random_vector(n, rng);
+    bad[1] = std::numeric_limits<float>::infinity();
+    bad[6] = -std::numeric_limits<float>::infinity();
+    bad[5] = std::numeric_limits<float>::quiet_NaN();   // 4-wide body
+    bad[12] = std::numeric_limits<float>::quiet_NaN();  // scalar tail
+    auto inf_only = random_vector(n, rng);
+    inf_only[2] = -std::numeric_limits<float>::infinity();
+    const auto rows = random_rows(4, n, rng);
+    for (const auto& [name, tile] : tile_variants()) {
+        EXPECT_TRUE(tile_matches_reference(
+            tile, rows[0].data(), bad.data(),
+            {rows[1].data(), rows[2].data(), rows[3].data(),
+             inf_only.data()},
+            n))
+            << name;
+        EXPECT_TRUE(tile_matches_reference(
+            tile, rows[0].data(), inf_only.data(),
+            {bad.data(), rows[1].data(), rows[2].data(), rows[3].data()},
+            n))
+            << name;
+        std::array<double, 8> got{};
+        const std::array<const float*, 4> y = {rows[1].data(), bad.data(),
+                                               inf_only.data(),
+                                               rows[2].data()};
+        tile(rows[0].data(), bad.data(), y.data(), n, got.data());
+        EXPECT_TRUE(std::isnan(got[1]));  // finite vs NaN row
+        EXPECT_TRUE(std::isinf(got[2]));  // finite vs inf row
+        EXPECT_TRUE(std::isnan(got[4]));  // NaN row vs finite
+    }
+}
+
+TEST(ExactTile, DispatchIgnoresKernelMode) {
+    // The tile has one rounding, so FAIRBFL_KERNELS / set_mode have
+    // nothing to choose: the resolved variant is CPUID's pick alone.
+    const simd::SquaredDistanceTile under_scalar = [] {
+        const ScopedKernelMode scoped(simd::Mode::kScalar);
+        return simd::squared_distance_tile();
+    }();
+    const simd::SquaredDistanceTile under_simd = [] {
+        const ScopedKernelMode scoped(simd::Mode::kSimd);
+        return simd::squared_distance_tile();
+    }();
+    EXPECT_EQ(under_scalar, under_simd);
+    EXPECT_EQ(under_scalar, tile_variants().back().second);
 }
 
 }  // namespace

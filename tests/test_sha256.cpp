@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 
 #include "crypto/sha256.hpp"
@@ -48,6 +49,25 @@ TEST(Sha256, IncrementalMatchesOneShot) {
         hasher.update(std::string_view(msg).substr(split));
         EXPECT_EQ(hasher.finish(), whole) << "split at " << split;
     }
+}
+
+TEST(Sha256, EmptyUpdatesAreNoOps) {
+    // A default span has a null data(): update must not hand it to memcpy
+    // (UBSan's nonnull check), and must leave the digest unchanged --
+    // between non-empty updates, mid-block, and on a fresh hasher.
+    const std::span<const std::uint8_t> empty;
+    Sha256 split;
+    split.update("ab");
+    split.update(empty);
+    split.update("c");
+    EXPECT_EQ(to_hex(split.finish()),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    Sha256 only_empty;
+    only_empty.update(empty);
+    EXPECT_EQ(to_hex(only_empty.finish()),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    EXPECT_EQ(to_hex(Sha256::hash(empty)),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 }
 
 TEST(Sha256, ResetReusesHasher) {
