@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "chain/storage.hpp"
 #include "core/system.hpp"
@@ -283,6 +284,11 @@ int main(int argc, char** argv) {
     } catch (const std::out_of_range& error) {
         std::fprintf(stderr, "%s\n", error.what());
         return 1;
+    } catch (const std::invalid_argument& error) {
+        // A config the system rejects at construction (e.g. --keybits
+        // too small to sign): report it, do not abort.
+        std::fprintf(stderr, "%s\n", error.what());
+        return 2;
     }
 
     support::CsvWriter csv(std::cout);

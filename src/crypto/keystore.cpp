@@ -2,13 +2,21 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "support/parallel.hpp"
 
 namespace fairbfl::crypto {
 
 KeyStore::KeyStore(std::uint64_t root_seed, std::size_t key_bits)
-    : root_seed_(root_seed), key_bits_(key_bits) {}
+    : root_seed_(root_seed), key_bits_(key_bits) {
+    if (key_bits != 0 && key_bits < kMinSigningKeyBits)
+        throw std::invalid_argument(
+            "KeyStore: key_bits must be 0 (crypto off) or at least " +
+            std::to_string(kMinSigningKeyBits) +
+            " (a 32-byte digest plus 11 bytes of signature padding), got " +
+            std::to_string(key_bits));
+}
 
 namespace {
 

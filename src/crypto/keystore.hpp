@@ -28,7 +28,9 @@ public:
     /// `key_bits == 0` disables cryptography entirely: signing returns empty
     /// signatures and verification always succeeds.  This models the paper's
     /// flexibility knob -- the crypto layer can be scaled out for pure-FL
-    /// deployments without touching call sites.
+    /// deployments without touching call sites.  Any other size must be
+    /// able to sign: 0 < key_bits < kMinSigningKeyBits (344) throws
+    /// std::invalid_argument.
     explicit KeyStore(std::uint64_t root_seed, std::size_t key_bits = 512);
 
     /// Creates (or returns the existing) key pair for `id`.

@@ -10,9 +10,10 @@ namespace {
 constexpr std::uint64_t kPublicExponent = 65537;
 
 /// EMSA-PKCS1-v1.5 style encoding of a SHA-256 digest into `width` bytes:
-/// 0x00 0x01 0xFF...0xFF 0x00 || digest.  Requires width >= digest + 11.
+/// 0x00 0x01 0xFF...0xFF 0x00 || digest.  Requires width >= digest + 11,
+/// i.e. a modulus of at least kMinSigningKeyBits.
 BigUint emsa_encode(const Digest& digest, std::size_t width) {
-    if (width < digest.size() + 11)
+    if (8 * width < kMinSigningKeyBits)
         throw std::length_error("RSA modulus too small for EMSA encoding");
     std::vector<std::uint8_t> em(width, 0xFF);
     em[0] = 0x00;

@@ -67,7 +67,13 @@ struct RsaKeyPair {
 /// big-endian at modulus width.
 using RsaSignature = std::vector<std::uint8_t>;
 
-/// Signs a SHA-256 digest.
+/// Smallest modulus that can carry a signature: the EMSA encoding needs the
+/// 32-byte digest plus 11 bytes of padding, 43 bytes in all.
+inline constexpr std::size_t kMinSigningKeyBits =
+    8 * (std::tuple_size_v<Digest> + 11);
+
+/// Signs a SHA-256 digest.  Throws std::length_error when the modulus is
+/// narrower than kMinSigningKeyBits.
 [[nodiscard]] RsaSignature sign_digest(const RsaPrivateKey& key,
                                        const Digest& digest);
 

@@ -3,28 +3,9 @@
 #include <bit>
 #include <cstring>
 
+#include "support/simd.hpp"
+
 namespace fairbfl::crypto {
-
-namespace {
-
-constexpr std::array<std::uint32_t, 64> kRoundConstants = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-
-constexpr std::uint32_t rotr(std::uint32_t x, int n) noexcept {
-    return std::rotr(x, n);
-}
-
-}  // namespace
 
 void Sha256::reset() noexcept {
     state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -45,13 +26,17 @@ void Sha256::update(std::span<const std::uint8_t> data) noexcept {
         buffer_len_ += take;
         offset += take;
         if (buffer_len_ == 64) {
-            process_block(buffer_.data());
+            support::simd::sha256_blocks(state_.data(), buffer_.data(), 1);
             buffer_len_ = 0;
         }
     }
-    while (offset + 64 <= data.size()) {
-        process_block(data.data() + offset);
-        offset += 64;
+    // Every whole block of the caller's data in one call, so the kernel
+    // keeps the state in registers across them.
+    const std::size_t blocks = (data.size() - offset) / 64;
+    if (blocks > 0) {
+        support::simd::sha256_blocks(state_.data(), data.data() + offset,
+                                     blocks);
+        offset += blocks * 64;
     }
     if (offset < data.size()) {
         buffer_len_ = data.size() - offset;
@@ -92,49 +77,6 @@ Digest Sha256::finish() noexcept {
         digest[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
     }
     return digest;
-}
-
-void Sha256::process_block(const std::uint8_t* block) noexcept {
-    std::array<std::uint32_t, 64> w;
-    for (std::size_t i = 0; i < 16; ++i) {
-        w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-               (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-               (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-               static_cast<std::uint32_t>(block[4 * i + 3]);
-    }
-    for (std::size_t i = 16; i < 64; ++i) {
-        const std::uint32_t s0 =
-            rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-        const std::uint32_t s1 =
-            rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-
-    auto [a, b, c, d, e, f, g, h] = state_;
-    for (std::size_t i = 0; i < 64; ++i) {
-        const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-        const std::uint32_t ch = (e & f) ^ (~e & g);
-        const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-        const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-        const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-        const std::uint32_t temp2 = s0 + maj;
-        h = g;
-        g = f;
-        f = e;
-        e = d + temp1;
-        d = c;
-        c = b;
-        b = a;
-        a = temp1 + temp2;
-    }
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
-    state_[4] += e;
-    state_[5] += f;
-    state_[6] += g;
-    state_[7] += h;
 }
 
 Digest Sha256::hash(std::span<const std::uint8_t> data) noexcept {

@@ -4,6 +4,14 @@
 // Used for block hashing, the proof-of-work puzzle (paper Eq. 4:
 // H(nonce + Block) < Target), Merkle trees, and as the digest inside RSA
 // signatures (Figure 2).
+//
+// Buffering and padding live here; the 64-byte block compression is
+// support::simd::sha256_blocks(), which runs on the x86 SHA extensions
+// when CPUID reports them and on the portable FIPS 180-4 loop otherwise.
+// The choice is made once per process, by CPUID alone (no mode, flag or
+// environment variable), and cannot show in the output: both variants
+// compute the same integer rounds, so every digest -- and every
+// signature, block hash and PoW result built on one -- is identical.
 
 #include <array>
 #include <cstdint>
@@ -33,8 +41,6 @@ public:
     [[nodiscard]] static Digest hash(std::string_view text) noexcept;
 
 private:
-    void process_block(const std::uint8_t* block) noexcept;
-
     std::array<std::uint32_t, 8> state_{};
     std::array<std::uint8_t, 64> buffer_{};
     std::size_t buffer_len_ = 0;

@@ -1,9 +1,15 @@
 #include "support/simd.hpp"
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
 
 namespace fairbfl::support::simd {
 
@@ -197,6 +203,74 @@ void portable_tile(const float* x0, const float* x1, const float* const* y,
             out[4 * r + c] = scalar_squared_distance_blocked(x[r], y[c], n);
 }
 
+// --- SHA-256 block compression (portable variant) --------------------------
+// The FIPS 180-4 loop the hasher has always run, now over `count` blocks
+// per call; the SHA-extension variant in simd_sha.cpp must match it digest
+// for digest.
+
+void portable_sha256(std::uint32_t state[8], const std::uint8_t* blocks,
+                     std::size_t count) {
+    const std::uint32_t* k = detail::kSha256RoundConstants;
+    for (; count > 0; --count, blocks += 64) {
+        std::array<std::uint32_t, 64> w;
+        for (std::size_t i = 0; i < 16; ++i) {
+            w[i] = (static_cast<std::uint32_t>(blocks[4 * i]) << 24) |
+                   (static_cast<std::uint32_t>(blocks[4 * i + 1]) << 16) |
+                   (static_cast<std::uint32_t>(blocks[4 * i + 2]) << 8) |
+                   static_cast<std::uint32_t>(blocks[4 * i + 3]);
+        }
+        for (std::size_t i = 16; i < 64; ++i) {
+            const std::uint32_t s0 = std::rotr(w[i - 15], 7) ^
+                                     std::rotr(w[i - 15], 18) ^
+                                     (w[i - 15] >> 3);
+            const std::uint32_t s1 = std::rotr(w[i - 2], 17) ^
+                                     std::rotr(w[i - 2], 19) ^
+                                     (w[i - 2] >> 10);
+            w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+        }
+
+        std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+        std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+        for (std::size_t i = 0; i < 64; ++i) {
+            const std::uint32_t s1 =
+                std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
+            const std::uint32_t ch = (e & f) ^ (~e & g);
+            const std::uint32_t temp1 = h + s1 + ch + k[i] + w[i];
+            const std::uint32_t s0 =
+                std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
+            const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+            const std::uint32_t temp2 = s0 + maj;
+            h = g;
+            g = f;
+            f = e;
+            e = d + temp1;
+            d = c;
+            c = b;
+            b = a;
+            a = temp1 + temp2;
+        }
+        state[0] += a;
+        state[1] += b;
+        state[2] += c;
+        state[3] += d;
+        state[4] += e;
+        state[5] += f;
+        state[6] += g;
+        state[7] += h;
+    }
+}
+
+/// The SHA-256 variant for this CPU, resolved once.
+Sha256Blocks served_sha256() noexcept {
+    // CPUID only: the variants agree digest for digest, so Mode has no say.
+    static const Sha256Blocks kernel = [] {
+        const Sha256Blocks sha_ni = detail::sha_ni_sha256_blocks();
+        return sha_ni != nullptr && cpu_supports_sha_ni() ? sha_ni
+                                                          : portable_sha256;
+    }();
+    return kernel;
+}
+
 constexpr KernelTable kScalarTable = {
     scalar_dot,
     scalar_dot_blocked,
@@ -280,6 +354,19 @@ bool cpu_supports_avx2_fma() noexcept {
 #endif
 }
 
+bool cpu_supports_sha_ni() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0 ||
+        (ecx & bit_SSE4_1) == 0)
+        return false;
+    if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+    return (ebx & bit_SHA) != 0;
+#else
+    return false;
+#endif
+}
+
 void set_dispatch_observer(DispatchObserver observer) noexcept {
     g_observer.store(observer, std::memory_order_release);
     if (observer != nullptr) {
@@ -327,7 +414,29 @@ SquaredDistanceTile squared_distance_tile() noexcept {
     return tile;
 }
 
+void sha256_blocks(std::uint32_t state[8], const std::uint8_t* blocks,
+                   std::size_t count) noexcept {
+    served_sha256()(state, blocks, count);
+}
+
+const char* sha256_variant() noexcept {
+    return served_sha256() == portable_sha256 ? "portable" : "sha_ni";
+}
+
 namespace detail {
+const std::uint32_t kSha256RoundConstants[64] = {
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
+    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
+    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
+    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
+    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
+    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
+    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
+    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+Sha256Blocks portable_sha256_blocks() noexcept { return portable_sha256; }
 const KernelTable& scalar_table() noexcept { return kScalarTable; }
 SquaredDistanceTile portable_squared_distance_tile() noexcept {
     return portable_tile;

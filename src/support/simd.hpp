@@ -1,6 +1,7 @@
 #pragma once
 // Runtime-dispatched kernel table behind the vecmath/gemv/projection entry
-// points.
+// points, plus the CPUID-dispatched exact kernels (the squared-distance
+// tile and the SHA-256 block compression).
 //
 // The scalar kernels in vecmath.cpp are bit-pinned: fixed-seed series,
 // the batched==reference training equivalence, and the reward hex pins
@@ -37,14 +38,18 @@
 // so the scalar/simd choice has nothing to decide.  Such a kernel lives
 // outside the KernelTable, is dispatched by CPUID alone (never by
 // FAIRBFL_KERNELS or set_mode()), and is held to memcmp equality with the
-// scalar reference, not to a tolerance.  The one today is the 2x4
+// scalar reference, not to a tolerance.  There are two today: the 2x4
 // squared-distance tile below, whose AVX2 lanes are exactly the four
-// partial sums of the scalar table's squared_distance_blocked.
+// partial sums of the scalar table's squared_distance_blocked, and the
+// SHA-256 block compression, whose x86 SHA-extension variant
+// (simd_sha.cpp) computes the same FIPS 180-4 integer rounds as the
+// portable loop, so every digest is identical whichever variant serves.
 //
 // docs/ARCHITECTURE.md ("Kernel dispatch & the tolerance-pin convention")
 // carries the how-to for adding another variant.
 
 #include <cstddef>
+#include <cstdint>
 
 namespace fairbfl::support::simd {
 
@@ -143,7 +148,36 @@ using SquaredDistanceTile = void (*)(const float* x0, const float* x1,
 /// into it (see "Exact kernels" above).
 [[nodiscard]] SquaredDistanceTile squared_distance_tile() noexcept;
 
+/// True when this CPU has the x86 SHA extensions and SSE4.1 (CPUID leaf 7
+/// EBX bit 29, leaf 1 ECX bit 19); always false off x86.
+[[nodiscard]] bool cpu_supports_sha_ni() noexcept;
+
+/// Exact SHA-256 block compression (FIPS 180-4 section 6.2.2): folds
+/// `count` consecutive 64-byte blocks starting at `blocks` (any alignment)
+/// into the eight working words of `state`.
+using Sha256Blocks = void (*)(std::uint32_t state[8],
+                              const std::uint8_t* blocks, std::size_t count);
+
+/// Compresses `count` blocks into `state` on the variant this CPU serves:
+/// the SHA-extension kernel when CPUID reports it (and the binary carries
+/// the SHA TU), else the portable loop.  Resolved on first call; Mode never
+/// enters into it (see "Exact kernels" above).
+void sha256_blocks(std::uint32_t state[8], const std::uint8_t* blocks,
+                   std::size_t count) noexcept;
+
+/// Name of the variant sha256_blocks() serves ("sha_ni" / "portable").
+[[nodiscard]] const char* sha256_variant() noexcept;
+
 namespace detail {
+/// The FIPS 180-4 round constants K[0..63], shared by both SHA-256 variants.
+extern const std::uint32_t kSha256RoundConstants[64];
+/// The portable SHA-256 compression (any CPU); the reference the SHA
+/// extension kernel is tested against.
+[[nodiscard]] Sha256Blocks portable_sha256_blocks() noexcept;
+/// The SHA-extension compression, or nullptr when this binary was built
+/// without the -msha -msse4.1 TU.  Callers must still check
+/// cpu_supports_sha_ni().
+[[nodiscard]] Sha256Blocks sha_ni_sha256_blocks() noexcept;
 /// The portable tile (any CPU): eight scalar blocked-kernel calls.
 [[nodiscard]] SquaredDistanceTile portable_squared_distance_tile() noexcept;
 /// The AVX2 tile, or nullptr when this binary was built without the

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "crypto/keystore.hpp"
 #include "support/parallel.hpp"
 
@@ -136,6 +139,34 @@ TEST(KeyStore, DisabledCryptoShortCircuits) {
     EXPECT_TRUE(store.sign(1, payload).empty());
     EXPECT_TRUE(store.verify(1, payload, {}));
     EXPECT_TRUE(store.verify(999, payload, bytes_of("junk")));
+}
+
+TEST(KeyStore, KeySizesThatCannotSignAreRejectedUpFront) {
+    // A signature needs kMinSigningKeyBits (344): a 32-byte digest plus 11
+    // bytes of EMSA padding.  Smaller sizes used to pass construction and
+    // fail in the first sign() with std::length_error.
+    EXPECT_EQ(fairbfl::crypto::kMinSigningKeyBits, 344U);
+    EXPECT_NO_THROW(KeyStore(42, 0));  // crypto off stays legal
+    for (const std::size_t bits : {8UL, 96UL, 128UL, 342UL, 343UL}) {
+        try {
+            KeyStore store(42, bits);
+            ADD_FAILURE() << bits << " bits accepted";
+        } catch (const std::invalid_argument& error) {
+            EXPECT_NE(std::string(error.what()).find("344"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+}
+
+TEST(KeyStore, SmallestSigningKeySignsAndVerifies) {
+    KeyStore store(42, 344);
+    store.register_node(1);
+    EXPECT_EQ(store.public_key(1).modulus_bytes(), 43U);
+    const auto payload = pinned_payload();
+    const auto signature = store.sign(1, payload);
+    EXPECT_EQ(signature.size(), 43U);
+    EXPECT_TRUE(store.verify(1, payload, signature));
 }
 
 }  // namespace
