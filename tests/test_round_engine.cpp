@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <memory>
+#include <span>
 
 #include "core/event_loop.hpp"
 #include "core/fairbfl.hpp"
 #include "core/round_engine.hpp"
 #include "ml/partition.hpp"
 #include "ml/synthetic_mnist.hpp"
+#include "support/fault_plan.hpp"
 #include "support/parallel.hpp"
 
 namespace {
@@ -431,6 +435,106 @@ TEST(RoundEngineFairBfl, ThreadCountNeverChangesTheOutcome) {
     const auto one = run_weights(world, config, 1, 3);
     const auto four = run_weights(world, config, 4, 3);
     EXPECT_EQ(one, four) << "weight bytes differ across 1 vs 4 threads";
+}
+
+// ---------------------------------------------------------------------------
+// Engaged-path pin: the retroactive re-settlement and the next-round
+// carry produce fixed values, not just the right structure.  A quorum
+// 0.6 + deadline round under a sampled FaultPlan (dropouts, stragglers,
+// replays) with sign-flip attackers and the discard defense, so late
+// gradients, carried gradients and benched clients all occur.
+
+/// FNV-1a over the weight bytes.
+std::uint64_t fnv1a(std::span<const float> weights) {
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    const auto* bytes = reinterpret_cast<const unsigned char*>(weights.data());
+    for (std::size_t i = 0; i < weights.size() * sizeof(float); ++i) {
+        hash ^= bytes[i];
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+core::FairBflConfig engaged_faulted_config(LatePolicy policy) {
+    core::FairBflConfig config = fast_config();
+    config.fl.client_ratio = 1.0;
+    config.attack.kind = core::AttackKind::kSignFlip;
+    config.attack.magnitude = 3.0;
+    config.attack.max_attackers = 3;
+    config.incentive.strategy =
+        fairbfl::incentive::LowContributionStrategy::kDiscard;
+    config.round.quorum_fraction = 0.6;
+    config.round.deadline_ns = 90'000'000'000ULL;
+    config.round.late_policy = policy;
+    support::FaultSpec spec;
+    spec.dropout_rate = 0.05;
+    spec.straggler_rate = 0.1;
+    spec.straggler_factor = 10.0;
+    spec.duplicate_rate = 0.1;
+    config.fault_plan = std::make_shared<support::FaultPlan>(
+        support::FaultPlan::sampled(spec, /*seed=*/9, /*rounds=*/4,
+                                    /*clients=*/10));
+    return config;
+}
+
+struct EngagedRoundPin {
+    std::size_t participants, late, carried_in;
+    double detection_rate;
+};
+
+struct EngagedPin {
+    std::uint64_t weights_fnv1a;
+    double grand_total;
+    EngagedRoundPin rounds[4];
+};
+
+void expect_engaged_pin(LatePolicy policy, const EngagedPin& pin) {
+    World world;
+    core::FairBfl system(*world.model, world.clients(), world.test,
+                         engaged_faulted_config(policy));
+    const auto history = system.run(4);
+    ASSERT_EQ(history.size(), 4U);
+    for (std::size_t r = 0; r < history.size(); ++r) {
+        const auto& record = history[r];
+        EXPECT_EQ(record.fl.participants, pin.rounds[r].participants)
+            << "round " << r;
+        EXPECT_EQ(record.late_updates, pin.rounds[r].late) << "round " << r;
+        EXPECT_EQ(record.carried_in_updates, pin.rounds[r].carried_in)
+            << "round " << r;
+        EXPECT_EQ(record.detection_rate, pin.rounds[r].detection_rate)
+            << "round " << r;
+    }
+    EXPECT_EQ(fnv1a(system.weights()), pin.weights_fnv1a);
+    EXPECT_EQ(system.ledger().grand_total(), pin.grand_total);
+}
+
+// Captured from the round driver before Procedure IV was factored into
+// one settle step (World(10, 61), engaged_faulted_config(policy), run(4)):
+// {participants, late_updates, carried_in_updates, detection_rate} per
+// round, then the weights' FNV-1a and the ledger's grand total.
+constexpr EngagedPin kRetroactivePin = {
+    0x39cb5202548c8a68ULL,
+    0x1.fffffffffffffp+1,
+    {{8, 3, 0, 0x1.5555555555555p-1},
+     {8, 3, 0, 0x1p+0},
+     {9, 3, 0, 0x1p+0},
+     {7, 2, 0, 0x1p+0}},
+};
+constexpr EngagedPin kNextRoundPin = {
+    0x4e31ea2ec71c3652ULL,
+    0x1.0000000000001p+2,
+    {{5, 3, 0, 0x1.5555555555555p-2},
+     {7, 3, 2, 0x1p+0},
+     {5, 3, 0, 0x0p+0},
+     {7, 3, 1, 0x0p+0}},
+};
+
+TEST(RoundEnginePin, RetroactiveFaultedSeriesIsPinned) {
+    expect_engaged_pin(LatePolicy::kRetroactive, kRetroactivePin);
+}
+
+TEST(RoundEnginePin, NextRoundFaultedSeriesIsPinned) {
+    expect_engaged_pin(LatePolicy::kNextRound, kNextRoundPin);
 }
 
 }  // namespace
