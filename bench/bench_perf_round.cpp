@@ -58,9 +58,9 @@ std::vector<std::size_t> parse_sweep(const std::string& csv) {
 }
 
 /// Per-stage wall-clock totals summed over a sweep point's rounds (peak
-/// for the bytes).  Bench-local on purpose: the JSON schema below is
-/// pinned to these fields, not to the deprecated core::StageWall shim,
-/// so the bench survives the shim's removal unchanged.
+/// for the bytes), read from each round's telemetry harvest
+/// (SeriesPoint::stats).  The JSON schema below is pinned to these
+/// fields, with the same label -> key mapping as telemetry::to_json.
 struct StageTotals {
     double local = 0.0;
     double cluster = 0.0;
@@ -242,17 +242,24 @@ int main(int argc, char** argv) {
         point.run_seconds = std::chrono::duration<double>(t1 - t0).count();
         point.final_accuracy = run.final_accuracy;
         for (const auto& p : run.series) {
-            point.total.local += p.wall.local;
-            point.total.cluster += p.wall.cluster;
-            point.total.index_build += p.wall.index_build;
-            point.total.cluster_shards += p.wall.cluster_shards;
-            point.total.cluster_root += p.wall.cluster_root;
-            point.total.aggregate += p.wall.aggregate;
-            point.total.mine += p.wall.mine;
-            point.total.index_peak_bytes = std::max(
-                point.total.index_peak_bytes, p.wall.index_peak_bytes);
-            point.total.wait_quorum += p.wall.wait_quorum;
-            point.total.late_updates += p.wall.late_updates;
+            const auto& stats = p.stats;
+            point.total.local += stats.seconds_of("round.local");
+            point.total.cluster += stats.seconds_of("round.cluster");
+            point.total.index_build += stats.seconds_of("cluster.index_build");
+            point.total.cluster_shards +=
+                stats.seconds_of("cluster.shard_pass");
+            point.total.cluster_root += stats.seconds_of("cluster.root_pass");
+            point.total.aggregate += stats.seconds_of("round.aggregate");
+            point.total.mine += stats.seconds_of("round.mine");
+            point.total.index_peak_bytes =
+                std::max(point.total.index_peak_bytes,
+                         static_cast<std::size_t>(
+                             stats.max_of("cluster.index_bytes")));
+            point.total.wait_quorum +=
+                static_cast<double>(stats.sum_of("round.wait_quorum_ns")) *
+                1e-9;
+            point.total.late_updates += static_cast<std::size_t>(
+                stats.sum_of("round.late_updates"));
         }
         points.push_back(point);
         std::fprintf(stderr,

@@ -202,7 +202,15 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    const core::Environment env = core::build_environment(env_config);
+    core::Environment env;
+    try {
+        env = core::build_environment(env_config);
+    } catch (const std::invalid_argument& error) {
+        // A world the partitioner rejects (e.g. --clients=0): report it,
+        // do not abort.
+        std::fprintf(stderr, "%s\n", error.what());
+        return 2;
+    }
 
     // One spec covers every system: the CLI name is a registry key, so any
     // scenario registered with SystemRegistry::global() is reachable from

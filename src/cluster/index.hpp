@@ -235,10 +235,6 @@ public:
     ExactIndex(Metric metric, std::span<const std::vector<float>> points,
                support::ThreadPool& pool = support::ThreadPool::global())
         : MatrixBackedIndex(DistanceMatrix(metric, points, pool)) {}
-    /// Adopts a prebuilt matrix.
-    /// \param matrix dense pairwise distances to serve queries from.
-    explicit ExactIndex(DistanceMatrix matrix) noexcept
-        : MatrixBackedIndex(std::move(matrix)) {}
 
     [[nodiscard]] std::string_view name() const noexcept override {
         return "exact";

@@ -69,16 +69,11 @@ struct SeriesPoint {
     double delay_seconds = 0.0;    ///< d_i
     double elapsed_seconds = 0.0;  ///< cumulative sum of d_i
     double accuracy = 0.0;         ///< acc_i (0 for pure blockchain)
-    /// Measured host wall time per stage (bench_perf_round) -- the
-    /// deprecated StageWall shim, derived per round from the telemetry
-    /// event log by core::stage_wall_from.  Zero for systems that do not
-    /// report it and when FAIRBFL_TELEMETRY is off.  The member rides out
-    /// the shim's final release, so it suppresses the deprecation it
-    /// would otherwise emit.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    StageWall wall;
-#pragma GCC diagnostic pop
+    /// The round's telemetry harvest (BflRoundRecord::stats): measured
+    /// host wall time per span label, read by bench_perf_round.  Empty
+    /// for systems that do not report it and when FAIRBFL_TELEMETRY is
+    /// off.
+    telemetry::RoundStats stats;
 };
 
 struct SystemRun {
@@ -95,33 +90,6 @@ struct SystemRun {
     /// so callers like run_suite can invoke it defensively.
     void finalize();
 };
-
-// --- Deprecated entry points -----------------------------------------------
-// These free functions predate the SystemRegistry (core/system.hpp) and
-// survive as thin shims over run_system for one release.  New code should
-// build a SystemSpec ("fedavg", "fedprox", "fairbfl", "blockchain", ...)
-// and call run_system / run_suite instead.
-
-/// FedAvg under the shared delay model (delay = T_local + T_up + T_gl).
-[[nodiscard, deprecated("use run_system(env, fedavg_spec(config, delay))")]]
-SystemRun run_fedavg(const Environment& env, const fl::FlConfig& config,
-                     const DelayParams& delay);
-
-/// FedProx under the shared delay model.
-[[nodiscard, deprecated("use run_system(env, fedprox_spec(config, delay))")]]
-SystemRun run_fedprox(const Environment& env,
-                      const fl::FedProxConfig& config,
-                      const DelayParams& delay);
-
-/// FAIR-BFL (delays come from the orchestrator's own records).  `label`
-/// distinguishes variants ("FAIR", "FAIR-Discard", ablations).
-[[nodiscard, deprecated("use run_system(env, fairbfl_spec(config, label))")]]
-SystemRun run_fairbfl(const Environment& env, const FairBflConfig& config,
-                      const std::string& label = "FAIR");
-
-/// Pure blockchain (no accuracy series).
-[[nodiscard, deprecated("use run_system(env, blockchain_spec(config))")]]
-SystemRun run_blockchain(const BlockchainBaselineConfig& config);
 
 /// Delay of one FL round under the shared model (exposed for tests).
 [[nodiscard]] double fl_round_delay(const DelayModel& delays,

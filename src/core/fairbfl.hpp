@@ -11,14 +11,21 @@
 //
 // Flexibility by design (Figure 3): stages III and V can be switched off,
 // degrading FAIR-BFL to pure FL; the pure-blockchain degradation (drop I
-// and IV) lives in blockchain_baseline.hpp.  Two ablation switches undo
-// the paper's Assumptions for comparison: `async_mining` (violates
+// and IV) lives in blockchain_baseline.hpp.  Two ablations undo the
+// paper's Assumptions for comparison: `consensus = "async_pow"` (violates
 // Assumption 1 -> forking + empty-block waste) and
 // `record_local_gradients` (violates Assumption 2 -> every local gradient
 // becomes a block transaction, re-introducing block-size queuing).
+//
+// One round is run_round() over a RoundState: select_clients (line 3),
+// collect (I + II as the round engine's local_learning / upload phases),
+// exchange (III), compute_global_update (IV), mine (V), and resolve_late
+// (late gradients: carried to the next round, or Procedure IV re-run over
+// the whole set).
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +35,7 @@
 #include "core/round_engine.hpp"
 #include "core/strategies.hpp"
 #include "fl/fedavg.hpp"
+#include "fl/gradient.hpp"
 #include "fl/local_trainer.hpp"
 #include "incentive/contribution.hpp"
 #include "incentive/reward.hpp"
@@ -56,8 +64,7 @@ struct FairBflConfig {
     /// pure FL while keeping the same code path.
     bool stage_exchange = true;  ///< Procedure III
     bool stage_mining = true;    ///< Procedure V
-    /// Ablations (see header comment).
-    bool async_mining = false;           ///< violate Assumption 1
+    /// Ablation (see header comment).
     bool record_local_gradients = false; ///< violate Assumption 2
     std::uint64_t chain_id = 0x7A1B;
 
@@ -71,9 +78,9 @@ struct FairBflConfig {
     /// form) the incentive settlement, so robust rules ("trimmed_mean",
     /// "median") defend whether Algorithm 2 is on or off.
     std::shared_ptr<const Aggregator> aggregator;
-    /// Consensus engine name ("sync_pow" / "async_pow").  Empty = derived
-    /// from the legacy `async_mining` bool.
-    std::string consensus;
+    /// Consensus engine name: "sync_pow" (Assumption 1) or "async_pow"
+    /// (the Assumption 1 ablation: forks + empty-block waste).
+    std::string consensus = "sync_pow";
     /// Algorithm 2 replacement.  Null = clustering per `incentive`.
     std::shared_ptr<const ContributionPolicy> contribution;
     /// Low-contribution handling.  Null = from `incentive.strategy`.
@@ -97,15 +104,10 @@ struct FairBflConfig {
 struct BflRoundRecord {
     fl::RoundRecord fl;                      ///< accuracy / loss / counts
     RoundDelay delay;                        ///< paper's T components
-    /// Measured host wall time, derived from the round's telemetry
-    /// harvest via core::stage_wall_from (zeros when FAIRBFL_TELEMETRY is
-    /// off).  Deprecated shim -- new consumers should harvest the
-    /// telemetry session directly.  The member rides out the shim's final
-    /// release, so it suppresses the deprecation it would otherwise emit.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    StageWall wall;
-#pragma GCC diagnostic pop
+    /// The round's telemetry harvest: measured host wall time per span
+    /// label ("round.local", "round.cluster", ...) and counter totals
+    /// (empty when FAIRBFL_TELEMETRY is off).
+    telemetry::RoundStats stats;
     std::vector<fl::NodeId> attacker_clients;
     std::vector<fl::NodeId> low_contribution_clients;  ///< Table 2 "Drop Index"
     double detection_rate = 1.0;             ///< Table 2 row metric
@@ -187,19 +189,63 @@ private:
     /// encryption stream and opens it as the miner would.  Reads only
     /// const state, so uploads run concurrently on pool workers; it never
     /// logs (the caller reports drops after the join).
-    [[nodiscard]] Upload upload(const fl::GradientUpdate& update,
-                                std::uint64_t round, crypto::NodeId miner,
-                                bool encrypting) const;
+    [[nodiscard]] Upload upload_one(const fl::GradientUpdate& update,
+                                    std::uint64_t round, crypto::NodeId miner,
+                                    bool encrypting) const;
 
-    /// The five procedures of one round, executed under the round's
-    /// telemetry context; run_round() wraps it and derives record.wall
-    /// from the harvest.
-    void round_body(std::uint64_t round, BflRoundRecord& record);
+    /// One round's working state, threaded through the procedures.
+    struct RoundState {
+        std::uint64_t round = 0;
+        std::vector<std::size_t> selected;   ///< client ids, bench removed
+        std::vector<std::size_t> steps;      ///< batch steps per selected
+        std::vector<double> local_seconds;   ///< per-client t_local slice
+        /// w_r, kept only when a retroactive re-settlement may need it.
+        std::vector<float> round_start_weights;
+        std::vector<fl::GradientUpdate> updates;  ///< one per selected
+        std::size_t payload = 0;  ///< plaintext bytes of one update
+        /// Verified upload transactions (Assumption 2 ablation only).
+        std::vector<chain::Transaction> gradient_txs;
+        CollectOutcome outcome;
+        /// The gradient set that shapes weights_: on time plus carried
+        /// in, and the late arrivals once retroactively re-settled.
+        fl::GradientSet set;
+    };
+
+    /// Algorithm 1 line 3 minus last round's bench, plus the per-client
+    /// compute times the arrival schedule needs.
+    [[nodiscard]] RoundState select_clients(std::uint64_t round,
+                                            BflRoundRecord& record);
+    /// Procedures I + II through the round engine (its two phases below).
+    void collect(RoundState& state, BflRoundRecord& record);
+    /// Procedure I for one selected client (runs on a pool worker).
+    void local_learning(RoundState& state, std::size_t slot);
+    /// Procedure II: forge (adversary), sign / encrypt on the pool, price
+    /// the uploads, and return the delivery schedule.
+    [[nodiscard]] std::vector<PendingDelivery> upload(RoundState& state,
+                                                      BflRoundRecord& record);
+    /// Procedure III: the on-time set plus carryovers, canonicalized.
+    void exchange(RoundState& state, BflRoundRecord& record);
+    /// Procedure IV over `updates` against `w_r`: provisional combine,
+    /// Algorithm 2 and settlement into weights_, plus the record's reward
+    /// / detection fields and the next round's bench.  Returns the
+    /// contribution report for the ledger (nullopt when the incentive is
+    /// off).  `w_r` may view weights_ itself: it is read only before the
+    /// settlement replaces weights_.
+    [[nodiscard]] std::optional<incentive::ContributionReport>
+    compute_global_update(std::span<const fl::GradientUpdate> updates,
+                          std::span<const float> w_r, BflRoundRecord& record);
+    /// Procedure V: pack, mine and submit the round's block.
+    void mine(RoundState& state, BflRoundRecord& record);
+    /// Late arrivals: carried into the next round, or (kRetroactive, with
+    /// an on-time settlement to amend) folded into state.set and
+    /// Procedure IV re-run against w_r.
+    void resolve_late(RoundState& state, BflRoundRecord& record);
 
     const ml::Model* model_;
     std::vector<fl::Client> clients_;
     ml::DatasetView test_set_;
     FairBflConfig config_;
+    DelayModel delays_;
     /// Procedure-I engine (per-client pack/workspace caches; engine choice
     /// comes from config.fl.batched_training).
     fl::LocalTrainer trainer_;

@@ -111,12 +111,12 @@ public:
           system_(*env.model, env.make_clients(), env.test, config) {}
 
     SeriesPoint step() override {
-        const BflRoundRecord record = system_.run_round();
+        BflRoundRecord record = system_.run_round();
         SeriesPoint point;
         point.round = record.fl.round;
         point.accuracy = record.fl.test_accuracy;
         point.delay_seconds = record.delay.total();
-        point.wall = record.wall;
+        point.stats = std::move(record.stats);
         return point;
     }
 

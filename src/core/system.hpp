@@ -14,10 +14,9 @@
 //     SystemRegistry::global().add("my_system",
 //         [](const Environment& env, const SystemSpec& spec) { ...; });
 //
-// The built-in factories reproduce the legacy run_fedavg / run_fedprox /
-// run_fairbfl / run_blockchain free functions bit-for-bit on the same
-// seed; those functions survive as deprecated shims over this API for one
-// release (see core/experiment.hpp).
+// The built-in factories own the round loops of every system; there is
+// no other entry point (tests/test_system.cpp pins each factory against a
+// hand-written loop over the underlying class on the same seed).
 
 #include <functional>
 #include <map>

@@ -13,7 +13,7 @@
 //  * rewards go to winning miners (per-block), not to contributors --
 //    exactly the incentive mismatch FAIR-BFL's Algorithm 2 fixes.
 //
-// The FairBfl ablation flags (async_mining, record_local_gradients)
+// The FairBfl ablations (consensus = "async_pow", record_local_gradients)
 // emulate vanilla costs inside the FAIR pipeline; this class is the
 // stand-alone protocol, useful as an end-to-end baseline and as a
 // cross-check that the ablation prices the same behaviour.

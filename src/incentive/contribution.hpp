@@ -112,7 +112,8 @@ struct ContributionReport {
     /// Index backend that served this round (diagnostics / perf JSON).
     std::string index_backend;
     /// Host wall seconds spent building the index -- a sub-component of
-    /// the round's cluster-stage wall time (core::StageWall::index_build).
+    /// the round's cluster-stage wall time (the "cluster.index_build"
+    /// span inside "round.cluster").
     /// Hierarchical rounds sum every pass's build here.
     double index_build_seconds = 0.0;
     /// Peak GradientIndex::storage_bytes() of any single pass this round:

@@ -1,7 +1,6 @@
 #pragma once
-// Structured low-overhead telemetry: the event-log subsystem that replaces
-// the ad-hoc core::StageWall wall clocks (the addb2-style design the
-// ROADMAP references).
+// Structured low-overhead telemetry: the event-log subsystem every stage
+// time in the tree is derived from (an addb2-style design).
 //
 // Producers write fixed-size binary records -- span begin/end pairs and
 // monotonic counters -- into *per-thread* ring buffers:
@@ -23,9 +22,8 @@
 // Consumers:
 //
 //   * core::FairBfl opens one Session per system instance and harvests it
-//     every round; core::stage_wall_from() derives the deprecated
-//     StageWall shim (and hence every `seconds.*` key of perf_round.json)
-//     from the harvested statistics;
+//     every round into BflRoundRecord::stats, which bench_perf_round
+//     reads every `seconds.*` key of perf_round.json from;
 //   * telemetry::capture_begin()/capture_end() snapshot *everything* into
 //     a telemetry::Dump -- the binary trace `fairbfl_sim --trace` writes
 //     and telemetry/decode.hpp renders as text or JSON.
@@ -183,9 +181,9 @@ void counter_add(Label label, std::uint64_t value) noexcept;
 void counter_max(Label label, std::uint64_t value) noexcept;
 
 // --- Canonical labels ------------------------------------------------------
-// The well-known names the FAIR-BFL pipeline emits.  core/stage_wall.cpp
-// and telemetry/decode.cpp map them onto the perf_round.json keys; keep
-// the three sites in sync (pinned by tests/test_telemetry.cpp).
+// The well-known names the FAIR-BFL pipeline emits.  telemetry/decode.cpp
+// (to_json) maps them onto the perf_round.json keys (pinned by
+// tests/test_telemetry.cpp).
 
 namespace labels {
 inline Label round_local() {
@@ -320,7 +318,8 @@ struct RoundStats {
 /// and round match.  `name_of` resolves label ids (live registry or a
 /// Dump's table).  Deterministic: identical record sequences produce
 /// bit-identical double sums, which is what lets a decoded dump reproduce
-/// the shim StageWall exactly (pinned in tests/test_telemetry.cpp).
+/// a live BflRoundRecord::stats exactly (pinned in
+/// tests/test_telemetry.cpp).
 [[nodiscard]] RoundStats round_stats(
     std::span<const Record> records,
     std::string_view (*name_of)(Label, const void* arg), const void* arg,

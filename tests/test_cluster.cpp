@@ -289,20 +289,6 @@ TEST(Dbscan, PrebuiltIndexMatchesPointsPath) {
     EXPECT_EQ(direct.num_clusters, reused.num_clusters);
 }
 
-// The pre-GradientIndex seam survives as a shim for one release.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Dbscan, DeprecatedMatrixShimStillMatches) {
-    const auto points = two_blobs(20, 3, 14);
-    const cl::DbscanParams params{
-        .eps = 0.3, .min_pts = 3, .metric = cl::Metric::kEuclidean};
-    const cl::Dbscan dbscan(params);
-    const cl::DistanceMatrix dist(params.metric, points);
-    EXPECT_EQ(dbscan.cluster_with(dist, points).labels,
-              dbscan.cluster(points).labels);
-}
-#pragma GCC diagnostic pop
-
 TEST(Dbscan, MismatchedIndexMetricFallsBackToRebuild) {
     const auto points = two_blobs(20, 0, 15);
     const cl::Dbscan dbscan(

@@ -1,7 +1,7 @@
 // Experiment harness: environment building, unified runs, metric math, and
 // the headline cross-system orderings (the shapes behind Figures 4a/4b).
-// Runs go through run_system (core/system.hpp); the deprecated free
-// functions are covered by the equivalence tests in test_system.cpp.
+// Runs go through run_system (core/system.hpp); test_system.cpp pins each
+// built-in factory against a hand-driven round loop.
 
 #include <gtest/gtest.h>
 

@@ -313,10 +313,10 @@ TEST(ShardTreeFairBfl, ShardedRoundsRunDetectAndRecordPerLevelTiming) {
     ASSERT_EQ(records.size(), 2U);
     for (const auto& record : records) {
         // Per-level timings ride inside the cluster stage.
-        EXPECT_GT(record.wall.cluster, 0.0);
-        EXPECT_GT(record.wall.cluster_shards, 0.0);
-        EXPECT_GT(record.wall.cluster_root, 0.0);
-        EXPECT_GT(record.wall.index_peak_bytes, 0U);
+        EXPECT_GT(record.stats.seconds_of("round.cluster"), 0.0);
+        EXPECT_GT(record.stats.seconds_of("cluster.shard_pass"), 0.0);
+        EXPECT_GT(record.stats.seconds_of("cluster.root_pass"), 0.0);
+        EXPECT_GT(record.stats.max_of("cluster.index_bytes"), 0U);
         // The hierarchy still pays the full budget each round.
         EXPECT_NEAR(record.round_reward_total, 1.0, 1e-9);
         EXPECT_EQ(record.detection_rate, 1.0);
