@@ -201,10 +201,11 @@ void FairBfl::collect(RoundState& state, BflRoundRecord& record) {
     // in parallel (the physics), then upload() builds the delivery
     // schedule the event loop resolves.
     trainer_.ensure_capacity(clients_.size());
-    const CollectOutcome& outcome = state.outcome = engine_.collect(
+    state.outcome = engine_.collect(
         state.selected.size(),
         [&](std::size_t slot) { local_learning(state, slot); },
         [&] { return upload(state, record); }, config_.pool, race_ptr);
+    const CollectOutcome& outcome = state.outcome;
     record.on_time_updates = outcome.on_time.size();
     record.late_updates = outcome.late.size();
     record.duplicate_updates_dropped = outcome.duplicates_dropped;
