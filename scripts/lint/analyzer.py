@@ -1,51 +1,50 @@
 #!/usr/bin/env python3
-"""fairbfl-analyzer: dependency-free whole-program static analysis.
+"""fairbfl-analyzer: the project's one lint driver.
 
-run_lints.py checks one file at a time; this tool builds the project-wide
-include graph and a cross-TU symbol/call graph from compile_commands.json
-(declaration->definition resolution via the cpplex.py lexer: qualified-name
-matching first, then header-signature matching; unresolved edges are
-reported, never silently dropped) and proves the repo's global invariants
-on top of it:
+Dependency-free whole-program static analysis on the cpplex.py lexer.  It
+lexes every file once, extracts per-file facts (cached by content sha),
+builds the project-wide include graph and a cross-TU symbol/call graph
+from compile_commands.json (declaration->definition resolution:
+qualified-name matching first, then header-signature matching; unresolved
+edges are reported, never silently dropped), and proves the repo's
+conventions on top of it:
 
-  layer-deps            ARCHITECTURE.md's "dependencies point strictly
-                        downward" as a machine-checked DAG over #include
-                        edges; the allowed-edge table is
+  raw-sync              no std::mutex/std::thread/std::lock_guard/... (or
+                        their headers) outside src/support/: locks go
+                        through the annotated support::Mutex wrappers.
+  rng-determinism       no rand()/srand(), std::random_device or argless
+                        std engines: randomness derives from the seed.
+  catch-swallow         no `catch (...)` that neither rethrows nor
+                        captures std::current_exception.
+  simd-isolation        no x86 intrinsic headers or _mm*/__m* spellings
+                        outside src/support/simd* (the KernelTable layer).
+  telemetry-hotpath     no allocation, lock, ad-hoc clock read or throw
+                        reachable from the telemetry emission roots; the
+                        walk follows resolved call edges into every TU and
+                        stops at the allowlisted stop_functions.
+  layer-deps            #include edges point strictly downward through
                         scripts/lint/layers.json (the normative layer map).
-  telemetry-hotpath-xtu PR 7's no-alloc/no-lock/no-throw telemetry
-                        emission proof extended across TU boundaries: the
-                        reachability walk follows resolved call edges into
-                        every TU instead of stopping at the file edge.
-                        Shares stop_functions with the per-file rule.
-  fp-determinism        the PR 8 bit-pin convention, structurally: no
-                        floating-point multiply-accumulate loops outside
-                        the allowlisted kernel layer (src/support/simd*,
-                        src/support/vecmath*), plus every TU's compile
-                        command must carry -ffp-contract=off and none of
-                        -ffast-math/-funsafe-math-optimizations/
-                        -fassociative-math/-Ofast.
-  lock-order            the global acquires-while-holding graph built from
-                        support::MutexLock sites and REQUIRES()
-                        annotations, with call edges followed so transitive
-                        acquisition counts; fails on cycles, on
-                        acquisitions not sanctioned by the documented lock
-                        hierarchy in allowlists.json, and on undocumented
-                        or stale hierarchy entries (per-function Clang TSA
-                        cannot see cross-function lock ordering).
-  blocking-in-worker    no blocking syscalls / sleeps / condvar waits /
-                        stream IO reachable from ThreadPool task bodies
-                        (lambdas passed to parallel_for/parallel_chunks/
-                        pool.run) outside the pool's own scheduler
-                        (allowlisted scheduler_paths).
-  unused-include        IWYU-lite: a project header whose include closure
-                        provides no name the including file references.
-                        Report-only unless --strict.
+  fp-determinism        no floating-point multiply-accumulate loop outside
+                        the kernel layer, and every TU compiles with
+                        -ffp-contract=off and no value-unsafe math flag.
+  lock-order            the global acquires-while-holding graph (MutexLock
+                        sites, REQUIRES(), transitive via calls) has no
+                        cycle and matches the documented lock hierarchy.
+  blocking-in-worker    no sleep/condvar wait/join/spawn/file or socket IO
+                        reachable from a ThreadPool task body outside the
+                        pool's own scheduler_paths.
+  unused-include        IWYU-lite: an included project header provides no
+                        name the includer references.  Report-only unless
+                        --strict.
+
+Every rule reads its allowlist from scripts/lint/allowlists.json; an
+entry that matches no file or suppresses nothing is itself a finding.
 
 Usage:
   analyzer.py --build-dir build            # analyze the tree; exit 1 on
                                            # findings from enforcing rules
   analyzer.py --rule layer-deps            # restrict to one rule
-  analyzer.py --self-test                  # per-rule bad/clean fixture
+  analyzer.py --self-test                  # per-rule bad*/clean* fixture
                                            # trees (tests/analyzer_fixtures)
   analyzer.py --graph-dump graph.json      # dump include edges, call
                                            # edges, unresolved calls,
@@ -57,9 +56,11 @@ Usage:
   analyzer.py --summary-md out.md          # per-rule markdown table +
                                            # runtime (CI job summary)
 
-Per-file facts are cached in <build-dir>/analyzer_cache.json keyed on
-content sha256 + extractor version (FACTS_VERSION), so warm full-tree
-runs re-lex nothing and stay well inside the 5 s CI budget.
+Diagnostics are gcc-style `file:line:col: error: [rule] message` so
+editors and CI annotate them.  Per-file facts are cached in
+<build-dir>/analyzer_cache.json keyed on content sha256 + extractor
+version (FACTS_VERSION), so warm full-tree runs re-lex nothing and stay
+well inside the 5 s CI budget.
 """
 
 from __future__ import annotations
@@ -71,31 +72,81 @@ import os
 import re
 import sys
 import time
+from dataclasses import dataclass
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import cpplex  # noqa: E402
 from cpplex import IDENT, NUMBER, PP, PUNCT  # noqa: E402
-import run_lints as rl  # noqa: E402  (shared Finding, sets, helpers)
 
-Finding = rl.Finding
-_find_matching = rl._find_matching
+REPO_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ALLOWLIST_REL = "scripts/lint/allowlists.json"
 
-REPO_ROOT = rl.REPO_ROOT
-
-RULES = ("layer-deps", "telemetry-hotpath-xtu", "fp-determinism",
-         "lock-order", "blocking-in-worker", "unused-include")
+RULES = ("raw-sync", "rng-determinism", "catch-swallow", "simd-isolation",
+         "telemetry-hotpath", "layer-deps", "fp-determinism", "lock-order",
+         "blocking-in-worker", "unused-include")
 
 # Bump whenever extraction below changes shape or semantics: stale caches
 # are discarded wholesale, never migrated.
-FACTS_VERSION = 5
+FACTS_VERSION = 6
+
+
+@dataclass
+class Finding:
+    rule: str
+    path: str
+    line: int
+    col: int
+    message: str
+
+    def __str__(self) -> str:
+        return (f"{self.path}:{self.line}:{self.col}: error: "
+                f"[{self.rule}] {self.message}")
+
+
+def _find_matching(tokens, start, open_, close):
+    """Index of the token closing the bracket opened at `start` (which
+    must hold `open_`); len(tokens) if unbalanced."""
+    depth = 0
+    for k in range(start, len(tokens)):
+        v = tokens[k].value
+        if tokens[k].kind == PUNCT:
+            if v == open_:
+                depth += 1
+            elif v == close:
+                depth -= 1
+                if depth == 0:
+                    return k
+    return len(tokens)
+
 
 # ---------------------------------------------------------------------------
 # Shared vocabularies
 
 # Identifier-followed-by-'(' shapes that are control flow or specifiers,
 # not calls or function names.
-_STOPWORDS = rl._FUNC_NAME_STOPWORDS | {
-    "constexpr", "consteval", "constinit", "requires", "explicit",
+_STOPWORDS = {
+    "if", "for", "while", "switch", "catch", "return", "sizeof", "alignof",
+    "alignas", "decltype", "static_assert", "new", "delete", "throw",
+    "noexcept", "assert", "operator", "defined", "constexpr", "consteval",
+    "constinit", "requires", "explicit",
+}
+
+# The telemetry emission entry points (src/telemetry/telemetry.{hpp,cpp}):
+# the Span constructor/close pair and the counter emitters, plus the
+# helpers the hot path is composed of (kept explicit so a rename breaks
+# the lint rather than silently un-scoping the rule).
+_HOTPATH_ROOTS = {"Span", "close", "counter_add", "counter_max", "put",
+                  "make_record", "local_buffer", "next_span_id",
+                  "current_context"}
+
+_HOTPATH_FORBIDDEN_CALLS = {
+    "malloc", "calloc", "realloc", "aligned_alloc", "strdup",
+    "push_back", "emplace", "emplace_back", "insert", "resize", "reserve",
+    "append", "assign",
+    "MutexLock", "lock_guard", "unique_lock", "scoped_lock", "lock",
+    "Lock", "try_lock", "TryLock", "wait",
+    "now",
 }
 
 # Blocking call names for blocking-in-worker.  Mutex acquisition is
@@ -144,11 +195,19 @@ _EXTERNAL_NAMES = {
     "now",
 }
 
-# When building graph edges, member names of std vocabulary types never
-# resolve to same-named project functions (run_lints' set, same
-# rationale).  `contains` joins it here: `factories_.contains(name)` is
-# std::map::contains, not the registry's own contains().
-_EDGE_IGNORED = rl._EDGE_IGNORED_NAMES | {"contains"}
+# Member names of std vocabulary types (atomics, containers, optionals)
+# that never resolve to same-named project functions when building call
+# edges: `g_enabled.load(...)` is std::atomic::load, not Dump::load, and
+# `factories_.contains(name)` is std::map::contains.  Forbidden-call
+# detection is unaffected (it matches call sites directly, so `.lock()`
+# still trips telemetry-hotpath).
+_EDGE_IGNORED = {
+    "load", "store", "exchange", "compare_exchange_strong",
+    "compare_exchange_weak", "fetch_add", "fetch_sub", "find", "count",
+    "begin", "end", "size", "empty", "clear", "erase", "get", "reset",
+    "release", "data", "max", "min", "value_or", "has_value", "front",
+    "back", "contains",
+}
 
 # Type/specifier keywords that must not be recorded as declared names.
 _NOT_DECL_NAMES = {
@@ -169,6 +228,175 @@ _FP_DECL_SKIP = {"const", "&", "&&", "*", ">", ">>", "...",
 
 _ALLCAPS_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
 _PP_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+# ---------------------------------------------------------------------------
+# Token-pattern rules: each maps one file's tokens to [line, col, message]
+# hits.  They run inside extract_facts, so their hits are cached with the
+# other facts; exempt_paths applies when the rule runs.
+
+_RAW_SYNC_TYPES = {
+    "std::mutex", "std::timed_mutex", "std::recursive_mutex",
+    "std::recursive_timed_mutex", "std::shared_mutex",
+    "std::shared_timed_mutex", "std::thread", "std::jthread",
+    "std::lock_guard", "std::unique_lock", "std::scoped_lock",
+    "std::shared_lock", "std::condition_variable",
+    "std::condition_variable_any", "std::call_once", "std::once_flag",
+    "std::async",
+}
+_RAW_SYNC_HEADERS = {"<mutex>", "<thread>", "<shared_mutex>",
+                     "<condition_variable>", "<future>"}
+
+_RNG_ENGINES = {"std::mt19937", "std::mt19937_64", "std::minstd_rand",
+                "std::minstd_rand0", "std::default_random_engine",
+                "std::ranlux24", "std::ranlux48", "std::knuth_b"}
+
+_RETHROW_MARKERS = {"throw", "current_exception", "rethrow_exception",
+                    "rethrow_if_nested"}
+
+# x86 intrinsic headers (umbrella and per-ISA): none may appear outside
+# the dispatch layer.
+_SIMD_HEADERS = {
+    "<immintrin.h>", "<x86intrin.h>", "<x86gprintrin.h>", "<xmmintrin.h>",
+    "<emmintrin.h>", "<pmmintrin.h>", "<tmmintrin.h>", "<smmintrin.h>",
+    "<nmmintrin.h>", "<wmmintrin.h>", "<ammintrin.h>",
+}
+_SIMD_IDENT_PREFIXES = ("_mm_", "_mm256_", "_mm512_", "__m128", "__m256",
+                        "__m512")
+
+
+# Last component -> qualified name (all distinct), so each identifier
+# costs one dict lookup.
+_RAW_SYNC_BY_LAST = {n.rsplit("::", 1)[1]: n for n in _RAW_SYNC_TYPES}
+_RNG_BY_LAST = {n.rsplit("::", 1)[1]: n for n in _RNG_ENGINES}
+
+
+def _included_header(t):
+    return t.value.split("#include", 1)[1].strip() \
+        if t.kind == PP and t.value.startswith("#include") else None
+
+
+def _match_raw_sync(tokens):
+    out = []
+    for k, t in enumerate(tokens):
+        header = _included_header(t)
+        if header in _RAW_SYNC_HEADERS:
+            out.append([t.line, t.col,
+                        f"raw concurrency header {header}: use "
+                        "support/sync.hpp (annotated Mutex/MutexLock/"
+                        "CondVar) or support/parallel.hpp instead"])
+        elif t.kind == IDENT and t.value in _RAW_SYNC_BY_LAST and \
+                cpplex.match_qualified(tokens, k, _RAW_SYNC_BY_LAST[t.value]):
+            out.append([t.line, t.col,
+                        f"{_RAW_SYNC_BY_LAST[t.value]} outside src/support/: "
+                        "the analysis cannot see std primitives -- use the "
+                        "annotated support::Mutex/MutexLock/CondVar "
+                        "(support/sync.hpp) or support::ThreadPool"])
+    return out
+
+
+def _argless_construction(tokens, k):
+    """`std::mt19937 g;`, `std::mt19937()`, `std::mt19937{}`: the default
+    seed is a process-invariant constant, which silently decouples the
+    stream from the experiment seed.  Seeded forms pass."""
+    nxt, after, third = (tokens[j] if j < len(tokens) else None
+                         for j in (k + 1, k + 2, k + 3))
+    if nxt is not None and nxt.kind == IDENT:
+        return after is not None and (
+            after.value in (";", ",", ")") or
+            (after.value == "(" and third is not None
+             and third.value == ")") or
+            (after.value == "{" and third is not None
+             and third.value == "}"))
+    if nxt is not None and nxt.value in ("(", "{"):
+        close = ")" if nxt.value == "(" else "}"
+        return after is not None and after.value == close
+    return False
+
+
+def _match_rng_determinism(tokens):
+    out = []
+    for k, t in enumerate(tokens):
+        if t.kind != IDENT:
+            continue
+        if t.value in ("rand", "srand") and k + 1 < len(tokens) \
+                and tokens[k + 1].value == "(" \
+                and (k == 0 or tokens[k - 1].value not in ("::", ".", "->")
+                     or cpplex.match_qualified(tokens, k, "std::" + t.value)):
+            out.append([t.line, t.col,
+                        f"{t.value}() breaks seed determinism: draw from a "
+                        "support::Rng stream forked off the experiment seed"])
+        elif t.value == "random_device" and \
+                cpplex.match_qualified(tokens, k, "std::random_device"):
+            out.append([t.line, t.col,
+                        "std::random_device is non-deterministic by design: "
+                        "seed a support::Rng from the experiment config "
+                        "instead"])
+        elif t.value in _RNG_BY_LAST and \
+                cpplex.match_qualified(tokens, k, _RNG_BY_LAST[t.value]) and \
+                _argless_construction(tokens, k):
+            out.append([t.line, t.col,
+                        "argless std engine construction uses the fixed "
+                        "default seed: derive the stream from the "
+                        "experiment seed via support::Rng"])
+    return out
+
+
+def _match_catch_swallow(tokens):
+    out = []
+    k = 0
+    while k < len(tokens):
+        t = tokens[k]
+        if t.kind == IDENT and t.value == "catch" and k + 1 < len(tokens) \
+                and tokens[k + 1].value == "(":
+            close = _find_matching(tokens, k + 1, "(", ")")
+            is_catch_all = any(p.kind == PUNCT and p.value == "..."
+                               for p in tokens[k + 2:close])
+            body_open = close + 1
+            if is_catch_all and body_open < len(tokens) \
+                    and tokens[body_open].value == "{":
+                body_close = _find_matching(tokens, body_open, "{", "}")
+                if not any(b.kind == IDENT and b.value in _RETHROW_MARKERS
+                           for b in tokens[body_open + 1:body_close]):
+                    out.append([t.line, t.col,
+                                "catch (...) swallows the exception: rethrow "
+                                "(`throw;`), capture it via "
+                                "std::current_exception for a later rethrow, "
+                                "or narrow the handler to the types you can "
+                                "actually handle"])
+                k = body_open
+                continue
+        k += 1
+    return out
+
+
+def _match_simd_isolation(tokens):
+    out = []
+    for t in tokens:
+        header = _included_header(t)
+        if header in _SIMD_HEADERS:
+            out.append([t.line, t.col,
+                        f"x86 intrinsic header {header} outside "
+                        "src/support/simd*: ISA-specific code lives "
+                        "behind the runtime-dispatched KernelTable "
+                        "(support/simd.hpp) so every other TU stays "
+                        "portable and the scalar bit-pins stay the "
+                        "default"])
+        elif t.kind == IDENT and t.value.startswith(_SIMD_IDENT_PREFIXES):
+            out.append([t.line, t.col,
+                        f"x86 intrinsic `{t.value}` outside "
+                        "src/support/simd*: add the kernel to the "
+                        "KernelTable (support/simd.hpp) instead of "
+                        "open-coding ISA instructions here"])
+    return out
+
+
+_TOKEN_RULES = {
+    "raw-sync": _match_raw_sync,
+    "rng-determinism": _match_rng_determinism,
+    "catch-swallow": _match_catch_swallow,
+    "simd-isolation": _match_simd_isolation,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +555,9 @@ def _analyze_body(body, requires):
                     lockname = g.value
                     break
             if lockname:
-                res["acquires"].append([t.line, t.col, lockname])
+                # At the declarator, where the hot-path diagnostic points.
+                var = body[k + 1]
+                res["acquires"].append([var.line, var.col, lockname])
                 for holder, _d in lockstack:
                     res["held"].append([holder, t.line, t.col, lockname])
                 lockstack.append((lockname, depth))
@@ -347,9 +577,11 @@ def _analyze_body(body, requires):
 
 
 def _extract_functions(tokens):
-    """run_lints' heuristic extractor, extended to capture the specifier
-    gap between `)` and `{` so REQUIRES() annotations seed the lock
-    stack.  Yields fact dicts."""
+    """Heuristic function-definition extractor: every `name(...) ... {body}`
+    shape, including inline class methods.  The gap between `)` and `{`
+    (specifiers, ctor init lists, trailing return types) is scanned so
+    REQUIRES() annotations seed the lock stack; a top-level `;` or `=`
+    there disqualifies (declaration, `= default`).  Yields fact dicts."""
     k = 0
     n = len(tokens)
     while k < n:
@@ -566,6 +798,8 @@ def extract_facts(text):
         elif t.kind == IDENT:
             idents.add(t.value)
     return {
+        "token_rules": {rule: hits for rule, match in _TOKEN_RULES.items()
+                        if (hits := match(tokens))},
         "includes": includes,
         "functions": list(_extract_functions(tokens)),
         "pool_tasks": _extract_pool_tasks(tokens),
@@ -600,6 +834,7 @@ class Program:
         self._provset_memo = {}
         self._lock_memo = {}
         self._eff_acq = {}
+        self.suppressible = {}  # rule -> findings with its allowlist off
         self.unresolved = []  # [rel, line, col, bare]
         self.weak_edges = 0
 
@@ -834,7 +1069,7 @@ def _stem(rel):
 # ---------------------------------------------------------------------------
 # Rules
 
-def rule_layer_deps(program, layers, allow):
+def rule_layer_deps(program, layers):
     allowed = layers.get("allowed", {})
     findings = []
     unknown_layers = set()
@@ -866,23 +1101,25 @@ def rule_layer_deps(program, layers, allow):
     return findings
 
 
-def rule_telemetry_hotpath_xtu(program, allow):
-    stops = allow.get("telemetry-hotpath", {}).get("stop_functions", {})
+def _stop_functions(allow):
+    return allow.get("telemetry-hotpath", {}).get("stop_functions", {})
+
+
+def _hotpath_chains(program, stops):
+    """Every function reachable from a telemetry emission root, across
+    TUs, stopping at the stop_functions: {ref: one call chain}."""
     chains = {}
     work = []
     for rel in sorted(program.facts):
         if not rel.startswith("src/telemetry/"):
             continue
         for i, fn in enumerate(program.facts[rel]["functions"]):
-            if fn["name"] in rl._HOTPATH_ROOTS:
-                ref = (rel, i)
-                if ref not in chains:
-                    chains[ref] = fn["name"]
-                    work.append(ref)
+            if fn["name"] in _HOTPATH_ROOTS and (rel, i) not in chains:
+                chains[(rel, i)] = fn["name"]
+                work.append((rel, i))
     while work:
         ref = work.pop()
-        fn = program.fn(ref)
-        for l, c, bare, qname, mem in fn["calls"]:
+        for l, c, bare, qname, mem in program.fn(ref)["calls"]:
             if bare in stops:
                 continue
             for tgt in program.resolve_call(ref[0], bare, qname, l, c,
@@ -890,34 +1127,38 @@ def rule_telemetry_hotpath_xtu(program, allow):
                 if tgt not in chains:
                     chains[tgt] = f"{chains[ref]} -> {bare}"
                     work.append(tgt)
+    return chains
+
+
+def rule_telemetry_hotpath(program, allow):
+    stops = _stop_functions(allow)
     findings = []
     seen = set()
-    for ref, chain in chains.items():
+
+    def flag(rel, l, c, what, chain, harm):
+        if (rel, l, c) in seen:
+            return
+        seen.add((rel, l, c))
+        findings.append(Finding(
+            "telemetry-hotpath", rel, l, c,
+            f"{what} reachable from the telemetry emission path ({chain}): "
+            f"the record hot path must not {harm}"))
+
+    for ref, chain in _hotpath_chains(program, stops).items():
         fn = program.fn(ref)
         rel = ref[0]
         for l, c, bare, _q, _m in fn["calls"]:
-            if bare in rl._HOTPATH_FORBIDDEN_CALLS and bare not in stops:
-                key = (rel, l, c)
-                if key in seen:
-                    continue
-                seen.add(key)
-                findings.append(Finding(
-                    "telemetry-hotpath-xtu", rel, l, c,
-                    f"`{bare}` reachable cross-TU from the telemetry "
-                    f"emission path ({chain}): the record hot path must "
-                    "not allocate, lock, block, or read ad-hoc clocks -- "
-                    "route cold work through an allowlisted stop function "
-                    "(scripts/lint/allowlists.json)"))
+            if bare in _HOTPATH_FORBIDDEN_CALLS and bare not in stops:
+                flag(rel, l, c, f"`{bare}`", chain,
+                     "allocate, lock, block, or read ad-hoc clocks -- route "
+                     "cold work through an allowlisted stop function "
+                     "(scripts/lint/allowlists.json)")
+        for l, c, lock in fn["acquires"]:
+            flag(rel, l, c, f"`MutexLock` on `{lock}`", chain,
+                 "lock -- route cold work through an allowlisted stop "
+                 "function (scripts/lint/allowlists.json)")
         for l, c, kind in fn["news"]:
-            key = (rel, l, c)
-            if key in seen:
-                continue
-            seen.add(key)
-            findings.append(Finding(
-                "telemetry-hotpath-xtu", rel, l, c,
-                f"`{kind}` reachable cross-TU from the telemetry emission "
-                f"path ({chain}): the record hot path must not allocate "
-                "or throw"))
+            flag(rel, l, c, f"`{kind}`", chain, "allocate or throw")
     return findings
 
 
@@ -926,11 +1167,6 @@ _FP_BAD_FLAGS = ("-ffast-math", "-funsafe-math-optimizations",
 
 
 def rule_fp_determinism(program, allow):
-    ex = allow.get("fp-determinism", {}).get("exempt_paths", {})
-
-    def exempt(rel):
-        return any(rel.startswith(p) for p in ex)
-
     findings = []
     for rel in sorted(program.commands):
         cmd = program.commands[rel]
@@ -939,7 +1175,7 @@ def rule_fp_determinism(program, allow):
         if "-ffp-contract=off" not in cmd:
             findings.append(Finding(
                 "fp-determinism", rel, 1, 1,
-                "compile command lacks -ffp-contract=off: the PR 8 bit-pin "
+                "compile command lacks -ffp-contract=off: the bit-pin "
                 "convention requires contraction off project-wide so "
                 "scalar results are ISA-portable bit-for-bit"))
         for bad in _FP_BAD_FLAGS:
@@ -948,8 +1184,13 @@ def rule_fp_determinism(program, allow):
                     "fp-determinism", rel, 1, 1,
                     f"compile command carries {bad}: value-unsafe math "
                     "breaks the fixed-seed bit pins"))
+    return findings + unexempted(program, allow, "fp-determinism")
+
+
+def _mac_loops(program):
+    findings = []
     for rel in sorted(program.facts):
-        if not rel.startswith("src/") or exempt(rel):
+        if not rel.startswith("src/"):
             continue
         fpids = None
         for fn in program.facts[rel]["functions"]:
@@ -1012,7 +1253,7 @@ def rule_lock_order(program, allow):
     for lock_id in sorted(conf):
         if lock_id not in discovered:
             findings.append(Finding(
-                "lock-order", "scripts/lint/allowlists.json", 1, 1,
+                "lock-order", ALLOWLIST_REL, 1, 1,
                 f"stale lock-order hierarchy entry `{lock_id}`: no such "
                 "support::Mutex declaration exists any more"))
     edges = _lock_edges(program)
@@ -1069,12 +1310,13 @@ def rule_lock_order(program, allow):
     return findings
 
 
-def rule_blocking_in_worker(program, allow):
-    sched = allow.get("blocking-in-worker", {}).get("scheduler_paths", {})
+def _under(rel, prefixes):
+    return any(rel.startswith(p) for p in prefixes)
 
-    def in_sched(rel):
-        return any(rel.startswith(p) for p in sched)
 
+def _blocking_walk(program, sched):
+    """Reachability from every ThreadPool task body outside the scheduler
+    paths: (findings, {ref: one call chain})."""
     findings = []
     seen = set()
 
@@ -1105,16 +1347,16 @@ def rule_blocking_in_worker(program, allow):
             # primitives, and scheduler-defined ones (CondVar::wait,
             # ThreadPool::join) block by design -- both flag at the call
             # site.
-            if not targets or all(in_sched(t[0]) for t in targets):
+            if not targets or all(_under(t[0], sched) for t in targets):
                 flag(rel, l, c, bare, chain)
                 return
         for tgt in targets:
-            if tgt not in chains and not in_sched(tgt[0]):
+            if tgt not in chains and not _under(tgt[0], sched):
                 chains[tgt] = f"{chain} -> {program.fn(tgt)['qname']}"
                 work.append(tgt)
 
     for rel in sorted(program.facts):
-        if in_sched(rel):
+        if _under(rel, sched):
             continue
         for task in program.facts[rel]["pool_tasks"]:
             chain = f"task@{rel}:{task['line']}"
@@ -1131,15 +1373,32 @@ def rule_blocking_in_worker(program, allow):
             flag(rel, l, c, name, chain)
         for l, c, bare, qname, mem in fn["calls"]:
             enqueue(rel, l, c, bare, qname, mem, chain)
-    return findings
+    return findings, chains
 
 
-def rule_unused_include(program, allow):
-    ex = allow.get("unused-include", {}).get("exempt_paths", {})
+def rule_blocking_in_worker(program, allow):
+    return _blocking_walk(program, allowed_paths(allow,
+                                                 "blocking-in-worker"))[0]
+
+
+def _blocking_sites(program):
+    """Every blocking call or stream construction in a function body:
+    what a scheduler_paths entry stops the walk from flagging."""
+    sites = []
+    for rel in sorted(program.facts):
+        for fn in program.facts[rel]["functions"]:
+            hits = [(l, c, bare) for l, c, bare, _q, _m in fn["calls"]
+                    if bare in _BLOCKING_CALLS] + \
+                [tuple(b) for b in fn["blocking_tokens"]]
+            sites += [Finding("blocking-in-worker", rel, l, c,
+                              f"`{what}` blocks") for l, c, what in hits]
+    return sites
+
+
+def _unused_includes(program):
     findings = []
     for rel in sorted(program.facts):
-        if not rel.startswith("src/") or \
-                any(rel.startswith(p) for p in ex):
+        if not rel.startswith("src/"):
             continue
         uses = set(program.facts[rel]["idents"])
         for line, inc, target in program.inc[rel]:
@@ -1162,45 +1421,107 @@ def rule_unused_include(program, allow):
     return findings
 
 
+def _token_rule_hits(program, rule):
+    return [Finding(rule, rel, l, c, message)
+            for rel in sorted(program.facts) if rel.startswith("src/")
+            for l, c, message in program.facts[rel]["token_rules"].get(
+                rule, ())]
+
+
+# Path-prefix allowlists: rule -> (allowlist key, what one entry can
+# suppress).  That is the rule's findings with the allowlist off, or for
+# scheduler_paths the blocking sites the walk stops at.  An entry under
+# which none of it sits suppresses nothing and is stale.
+_PATH_ALLOWLISTS = {
+    **{rule: ("exempt_paths",
+              lambda program, rule=rule: _token_rule_hits(program, rule))
+       for rule in _TOKEN_RULES},
+    "fp-determinism": ("exempt_paths", _mac_loops),
+    "blocking-in-worker": ("scheduler_paths", _blocking_sites),
+    "unused-include": ("exempt_paths", _unused_includes),
+}
+
+
+def allowed_paths(allow, rule):
+    return allow.get(rule, {}).get(_PATH_ALLOWLISTS[rule][0], {})
+
+
+def suppressible(program, rule):
+    """Memoized per program: the rule and the stale check share it."""
+    if rule not in program.suppressible:
+        program.suppressible[rule] = _PATH_ALLOWLISTS[rule][1](program)
+    return program.suppressible[rule]
+
+
+def unexempted(program, allow, rule):
+    prefixes = allowed_paths(allow, rule)
+    return [f for f in suppressible(program, rule)
+            if not _under(f.path, prefixes)]
+
+
+_GRAPH_RULES = {
+    "telemetry-hotpath": rule_telemetry_hotpath,
+    "fp-determinism": rule_fp_determinism,
+    "lock-order": rule_lock_order,
+    "blocking-in-worker": rule_blocking_in_worker,
+}
+
+
 def run_rules(program, rules, allow, layers):
     findings = []
-    if "layer-deps" in rules:
-        findings += rule_layer_deps(program, layers, allow)
-    if "telemetry-hotpath-xtu" in rules:
-        findings += rule_telemetry_hotpath_xtu(program, allow)
-    if "fp-determinism" in rules:
-        findings += rule_fp_determinism(program, allow)
-    if "lock-order" in rules:
-        findings += rule_lock_order(program, allow)
-    if "blocking-in-worker" in rules:
-        findings += rule_blocking_in_worker(program, allow)
-    if "unused-include" in rules:
-        findings += rule_unused_include(program, allow)
+    for rule in rules:
+        if rule == "layer-deps":
+            findings += rule_layer_deps(program, layers)
+        elif rule in _TOKEN_RULES or rule == "unused-include":
+            findings += unexempted(program, allow, rule)
+        else:
+            findings += _GRAPH_RULES[rule](program, allow)
     return findings
 
 
-def check_stale_path_entries(program, allow):
-    """Path-prefix allowlist entries for the analyzer's own rules must
-    keep matching real files; a prefix nothing starts with is a dead
-    justification (the lock-hierarchy analogue lives in rule_lock_order,
-    and run_lints.py owns the single-TU rules' staleness)."""
+def check_stale_allowlists(program, allow):
+    """Dead allowlist entries read as a live justification for a
+    suppression that no longer happens.  A path entry is stale when its
+    prefix matches no analyzed file or when nothing it could suppress
+    sits under it; a stop_functions entry is stale when the name appears
+    nowhere in src/telemetry/.  (Stale lock-hierarchy entries are
+    lock-order's own findings.)"""
     findings = []
-    keys = (("fp-determinism", "exempt_paths"),
-            ("blocking-in-worker", "scheduler_paths"),
-            ("unused-include", "exempt_paths"))
-    for rule, key in keys:
-        for prefix, why in allow.get(rule, {}).get(key, {}).items():
-            if any(rel.startswith(prefix) for rel in program.facts):
+    for rule, (key, _) in _PATH_ALLOWLISTS.items():
+        for prefix, why in allowed_paths(allow, rule).items():
+            if not any(rel.startswith(prefix) for rel in program.facts):
+                reason = "matches no analyzed file"
+            elif not any(f.path.startswith(prefix)
+                         for f in suppressible(program, rule)):
+                reason = (f"no {rule} finding sits under it even with the "
+                          "entry off, so it suppresses nothing")
+            else:
                 continue
             findings.append(Finding(
-                rule, "scripts/lint/allowlists.json", 1, 1,
-                f"stale {key} entry `{prefix}`: matches no analyzed "
-                f"file -- delete it (justification was: {why!r})"))
+                rule, ALLOWLIST_REL, 1, 1,
+                f"stale {key} entry `{prefix}`: {reason} -- delete it "
+                f"(justification was: {why!r})"))
+    telemetry_idents = set()
+    for rel, facts in program.facts.items():
+        if rel.startswith("src/telemetry/"):
+            telemetry_idents.update(facts["idents"])
+    for name, why in _stop_functions(allow).items():
+        if name not in telemetry_idents:
+            findings.append(Finding(
+                "telemetry-hotpath", ALLOWLIST_REL, 1, 1,
+                f"stale stop_functions entry `{name}`: no such identifier "
+                "appears in src/telemetry/ any more -- delete it "
+                f"(justification was: {why!r})"))
     return findings
 
 
 # ---------------------------------------------------------------------------
 # Tree / fixture discovery
+
+def rel_to_repo(path):
+    return os.path.relpath(os.path.abspath(path), REPO_ROOT).replace(
+        os.sep, "/")
+
 
 def tree_program(build_dir, cache_path):
     cc_path = os.path.join(build_dir, "compile_commands.json")
@@ -1214,7 +1535,7 @@ def tree_program(build_dir, cache_path):
     for entry in entries:
         path = os.path.normpath(
             os.path.join(entry.get("directory", ""), entry["file"]))
-        rel = rl.rel_to_repo(path)
+        rel = rel_to_repo(path)
         cmd = entry.get("command") or " ".join(entry.get("arguments", ()))
         if rel.startswith("src/"):
             files[rel] = path
@@ -1227,7 +1548,7 @@ def tree_program(build_dir, cache_path):
         for name in names:
             if name.endswith((".hpp", ".h", ".hh", ".hxx")):
                 path = os.path.join(root, name)
-                files[rl.rel_to_repo(path)] = path
+                files[rel_to_repo(path)] = path
     commands = {rel: cmd for rel, cmd in commands.items()
                 if rel in files or not rel.startswith("src/")}
     return Program(files, commands, cache_path)
@@ -1252,17 +1573,12 @@ def fixture_program(root):
     return Program(files, commands, cache_path=None)
 
 
-def fixture_config(root, name, default):
-    path = os.path.join(root, name)
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
-    return default
-
-
-def load_layers():
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        "layers.json")
+def load_json(directory, name, default=None):
+    """`directory/name` parsed; `default` when given and the file is
+    absent (a fixture tree without its own allowlists/layer map)."""
+    path = os.path.join(directory, name)
+    if default is not None and not os.path.exists(path):
+        return default
     with open(path, encoding="utf-8") as f:
         return json.load(f)
 
@@ -1270,36 +1586,59 @@ def load_layers():
 # ---------------------------------------------------------------------------
 # Self-test, graph dump, explain, summary
 
+# The self-test's pseudo-rule for check_stale_allowlists: its bad* trees
+# hold only stale entries, and each one must be flagged.
+STALE_ALLOWLIST = "stale-allowlist"
+
+
+def _allowlist_entries(allow):
+    return [name for conf in allow.values() if isinstance(conf, dict)
+            for entries in conf.values() for name in entries]
+
+
 def self_test(fixtures_dir):
+    """Every rule (and the stale check) needs at least one bad* tree, which
+    must be flagged, and one clean* tree, which must not be."""
     failures = 0
-    for rule in RULES:
-        for kind in ("bad", "clean"):
-            root = os.path.join(fixtures_dir, rule.replace("-", "_"), kind)
-            if not os.path.isdir(root):
-                print(f"self-test: {rule}/{kind}: fixture tree missing")
-                failures += 1
-                continue
+    for rule in RULES + (STALE_ALLOWLIST,):
+        rule_dir = os.path.join(fixtures_dir, rule.replace("-", "_"))
+        trees = sorted(d for d in os.listdir(rule_dir)
+                       if d.startswith(("bad", "clean"))) \
+            if os.path.isdir(rule_dir) else []
+        if not any(t.startswith("bad") for t in trees) or \
+                not any(t.startswith("clean") for t in trees):
+            print(f"self-test: {rule}: needs a bad* and a clean* tree")
+            failures += 1
+        for tree in trees:
+            root = os.path.join(rule_dir, tree)
             program = fixture_program(root)
-            allow = fixture_config(root, "allowlists.json", {})
-            layers = fixture_config(root, "layers.json", {"allowed": {}})
-            findings = [f for f in run_rules(program, (rule,), allow,
-                                             layers) if f.rule == rule]
-            if kind == "bad":
-                if findings:
-                    print(f"self-test: {rule}/bad: flagged "
-                          f"({len(findings)} finding(s)) -- ok")
-                else:
-                    print(f"self-test: {rule}/bad: expected a [{rule}] "
-                          "finding, got none")
-                    failures += 1
+            allow = load_json(root, "allowlists.json", {})
+            if rule == STALE_ALLOWLIST:
+                findings = check_stale_allowlists(program, allow)
             else:
-                if findings:
-                    print(f"self-test: {rule}/clean: expected clean, got:")
-                    for f in findings:
-                        print(f"  {f}")
-                    failures += 1
-                else:
-                    print(f"self-test: {rule}/clean: clean -- ok")
+                layers = load_json(root, "layers.json", {"allowed": {}})
+                findings = [f for f in run_rules(program, (rule,), allow,
+                                                 layers) if f.rule == rule]
+            name = f"{rule}/{tree}"
+            if tree.startswith("clean"):
+                ok = not findings
+                print(f"self-test: {name}: "
+                      + ("clean -- ok" if ok else "expected clean, got:"))
+                for f in findings:
+                    print(f"  {f}")
+            elif rule == STALE_ALLOWLIST:
+                missed = [e for e in _allowlist_entries(allow)
+                          if not any(f"`{e}`" in f.message for f in findings)]
+                ok = not missed
+                print(f"self-test: {name}: " +
+                      (f"all {len(findings)} stale entries flagged -- ok"
+                       if ok else f"stale entries not flagged: {missed}"))
+            else:
+                ok = bool(findings)
+                print(f"self-test: {name}: " +
+                      (f"flagged ({len(findings)} finding(s)) -- ok" if ok
+                       else f"expected a [{rule}] finding, got none"))
+            failures += not ok
     if failures:
         print(f"self-test: {failures} fixture expectation(s) failed")
         return 1
@@ -1360,58 +1699,11 @@ def explain(program, allow, layers, query):
             print(f"  line {line}: include {inc} -> "
                   f"{target or '<external>'} (layer {lb})")
         return 0
-    if rule in ("telemetry-hotpath-xtu", "blocking-in-worker"):
-        if rule == "telemetry-hotpath-xtu":
-            stops = allow.get("telemetry-hotpath", {}).get(
-                "stop_functions", {})
-            chains = {}
-            work = []
-            for rel in sorted(program.facts):
-                if not rel.startswith("src/telemetry/"):
-                    continue
-                for i, fn in enumerate(program.facts[rel]["functions"]):
-                    if fn["name"] in rl._HOTPATH_ROOTS:
-                        chains[(rel, i)] = fn["name"]
-                        work.append((rel, i))
-            while work:
-                ref = work.pop()
-                for l, c, bare, qname, mem in program.fn(ref)["calls"]:
-                    if bare in stops:
-                        continue
-                    for tgt in program.resolve_call(ref[0], bare, qname,
-                                                    record=False):
-                        if tgt not in chains:
-                            chains[tgt] = f"{chains[ref]} -> {bare}"
-                            work.append(tgt)
+    if rule in ("telemetry-hotpath", "blocking-in-worker"):
+        if rule == "telemetry-hotpath":
+            chains = _hotpath_chains(program, _stop_functions(allow))
         else:
-            sched = allow.get("blocking-in-worker", {}).get(
-                "scheduler_paths", {})
-            chains = {}
-            work = []
-            for rel in sorted(program.facts):
-                if any(rel.startswith(p) for p in sched):
-                    continue
-                for t in program.facts[rel]["pool_tasks"]:
-                    for l, c, bare, qname, mem in t["calls"]:
-                        for tgt in program.resolve_call(rel, bare, qname,
-                                                        record=False):
-                            if tgt not in chains and not any(
-                                    tgt[0].startswith(p) for p in sched):
-                                chains[tgt] = (f"task@{rel}:{t['line']} -> "
-                                               f"{program.fn(tgt)['qname']}")
-                                work.append(tgt)
-            while work:
-                ref = work.pop()
-                for l, c, bare, qname, mem in program.fn(ref)["calls"]:
-                    if bare in _BLOCKING_CALLS:
-                        continue
-                    for tgt in program.resolve_call(ref[0], bare, qname,
-                                                    record=False):
-                        if tgt not in chains and not any(
-                                tgt[0].startswith(p) for p in sched):
-                            chains[tgt] = (f"{chains[ref]} -> "
-                                           f"{program.fn(tgt)['qname']}")
-                            work.append(tgt)
+            chains = _blocking_walk(program, allowed_paths(allow, rule))[1]
         hits = [(ref, chain) for ref, chain in sorted(chains.items())
                 if program.fn(ref)["name"] == sym
                 or program.fn(ref)["qname"] == sym]
@@ -1501,9 +1793,6 @@ def main() -> int:
                         default=os.path.join(REPO_ROOT, "build"))
     parser.add_argument("--rule", action="append", choices=RULES)
     parser.add_argument("--self-test", action="store_true")
-    parser.add_argument("--fixtures-dir",
-                        default=os.path.join(REPO_ROOT, "tests",
-                                             "analyzer_fixtures"))
     parser.add_argument("--graph-dump", metavar="FILE",
                         help="write the graph as JSON ('-' for stdout)")
     parser.add_argument("--explain", metavar="RULE:SYMBOL")
@@ -1515,11 +1804,13 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.self_test:
-        return self_test(args.fixtures_dir)
+        return self_test(os.path.join(REPO_ROOT, "tests",
+                                      "analyzer_fixtures"))
 
     t0 = time.monotonic()
-    allow = rl.load_allowlists()
-    layers = load_layers()
+    here = os.path.dirname(os.path.abspath(__file__))
+    allow = load_json(here, "allowlists.json")
+    layers = load_json(here, "layers.json")
     cache_path = None if args.no_cache else os.path.join(
         args.build_dir, "analyzer_cache.json")
     program = tree_program(args.build_dir, cache_path)
@@ -1529,7 +1820,7 @@ def main() -> int:
 
     rules = tuple(args.rule) if args.rule else RULES
     findings = run_rules(program, rules, allow, layers)
-    findings += check_stale_path_entries(program, allow)
+    findings += check_stale_allowlists(program, allow)
     if args.graph_dump:
         graph_dump(program, args.graph_dump)
 

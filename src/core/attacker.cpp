@@ -52,6 +52,20 @@ AttackReport apply_attack(std::span<fl::GradientUpdate> updates,
     return report;
 }
 
+std::vector<fl::NodeId> attackers_in(
+    std::span<const fl::GradientUpdate> updates,
+    const std::vector<fl::NodeId>& attackers, std::uint64_t round) {
+    std::vector<fl::NodeId> reached;
+    for (const auto& u : updates) {
+        if (u.round == round &&
+            std::find(attackers.begin(), attackers.end(), u.client) !=
+                attackers.end())
+            reached.push_back(u.client);
+    }
+    std::sort(reached.begin(), reached.end());
+    return reached;
+}
+
 double detection_rate(const std::vector<fl::NodeId>& attackers,
                       const std::vector<fl::NodeId>& flagged) {
     if (attackers.empty()) return 1.0;

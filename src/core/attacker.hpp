@@ -44,6 +44,13 @@ struct AttackReport {
     std::span<const float> reference_global, const AttackConfig& config,
     std::uint64_t round, std::uint64_t root_seed);
 
+/// The `attackers` whose round-`round` (forged) update is among `updates`:
+/// the ones Algorithm 2 saw and so could flag.  Attackers whose update was
+/// late, dropped or carried to a later round are left out.  Sorted.
+[[nodiscard]] std::vector<fl::NodeId> attackers_in(
+    std::span<const fl::GradientUpdate> updates,
+    const std::vector<fl::NodeId>& attackers, std::uint64_t round);
+
 /// Detection rate of one round: |attackers ∩ flagged| / |attackers|
 /// (1.0 when there were no attackers).
 [[nodiscard]] double detection_rate(

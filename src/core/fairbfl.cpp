@@ -362,9 +362,13 @@ std::optional<incentive::ContributionReport> FairBfl::compute_global_update(
         const telemetry::Span span(telemetry::labels::round_aggregate());
         provisional = aggregator_->aggregate(updates);
     }
+    // Only this round's forged updates that are in `updates` can be
+    // caught; no such attacker reads 1.0, like a round without attackers.
+    const std::vector<fl::NodeId> reached =
+        attackers_in(updates, record.attacker_clients, record.fl.round);
     if (!config_.enable_incentive) {
         weights_ = std::move(provisional);
-        record.detection_rate = record.attacker_clients.empty() ? 1.0 : 0.0;
+        record.detection_rate = reached.empty() ? 1.0 : 0.0;
         return std::nullopt;
     }
     // Cluster on effective gradients against w_r.  The index-build /
@@ -385,8 +389,8 @@ std::optional<incentive::ContributionReport> FairBfl::compute_global_update(
     }
     record.round_reward_total = report.total_reward();
     record.low_contribution_clients = report.low_clients();
-    record.detection_rate = detection_rate(record.attacker_clients,
-                                           record.low_contribution_clients);
+    record.detection_rate =
+        detection_rate(reached, record.low_contribution_clients);
     if (reward_->benches_low_contributors())
         benched_clients_.assign(record.low_contribution_clients.begin(),
                                 record.low_contribution_clients.end());

@@ -1,0 +1,11 @@
+// BAD: the catch-all handler drops the exception on the floor -- no
+// rethrow, no std::current_exception capture for a later rethrow.
+int risky();
+
+int swallow_everything() {
+    try {
+        return risky();
+    } catch (...) {
+        return -1;
+    }
+}

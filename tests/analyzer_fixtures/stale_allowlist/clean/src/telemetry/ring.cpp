@@ -1,0 +1,4 @@
+// Names the live stop function.
+void drain_ring(long* slots, long count) {
+    for (long i = 0; i < count; ++i) slots[i] = 0;
+}

@@ -1,0 +1,10 @@
+// BAD: counter_add is an emission-path root; it calls across the TU
+// boundary into support, where the callee allocates.  A walk that stops
+// at the file edge cannot see this -- the cross-TU walk must.
+namespace demo::telemetry {
+
+void counter_add(long value) {
+    format_label(value);
+}
+
+}  // namespace demo::telemetry

@@ -122,4 +122,17 @@ TEST(DetectionRate, Formula) {
     EXPECT_NEAR(core::detection_rate({3, 6, 2}, {2, 6}), 2.0 / 3.0, 1e-12);
 }
 
+TEST(DetectionRate, CountsOnlyAttackersWhoseForgedUpdateReachedAlgorithm2) {
+    // Round 4's set: clients 0..4 fresh, client 5 carried from round 3.
+    auto updates = make_updates(6);
+    for (auto& u : updates) u.round = 4;
+    updates[5].round = 3;
+    // Attacker 7 was late or dropped; attacker 5's forged update is not
+    // the carried one.  Only 3 and 1 reached Algorithm 2.
+    const auto reached = core::attackers_in(updates, {7, 3, 5, 1}, 4);
+    EXPECT_EQ(reached, (std::vector<fl::NodeId>{1, 3}));
+    EXPECT_DOUBLE_EQ(core::detection_rate(reached, {3}), 0.5);
+    EXPECT_TRUE(core::attackers_in(updates, {5, 7}, 4).empty());
+}
+
 }  // namespace

@@ -1,14 +1,11 @@
-// Integration: FAIR-BFL rounds replicated through the consensus simulator.
+// Integration: the chain FAIR-BFL rounds commit is auditable off-line.
 //
 // The FairBfl orchestrator commits each round's block to its canonical
-// chain; here we additionally gossip those blocks through m miner replicas
-// and check that (a) all replicas converge to the canonical chain and
-// (b) any replica can serve Procedure I's "read the global gradient from
-// the latest block" identically.
+// chain; an auditor who imports the exported chain must replay the same
+// reward history the ledger settled.
 
 #include <gtest/gtest.h>
 
-#include "chain/consensus.hpp"
 #include "chain/storage.hpp"
 #include "core/fairbfl.hpp"
 #include "ml/partition.hpp"
@@ -40,50 +37,6 @@ struct World {
         shards = ml::partition(split.train, params);
     }
 };
-
-TEST(IntegrationConsensus, ReplicasTrackTheCanonicalChain) {
-    World world;
-    core::FairBflConfig config;
-    config.fl.client_ratio = 0.5;
-    config.fl.rounds = 6;
-    config.fl.sgd.learning_rate = 0.05;
-    config.fl.seed = 91;
-    config.chain_id = 0xC0FFEE;
-    core::FairBfl system(*world.model, fl::make_clients(*world.model,
-                                                        world.shards),
-                         world.test, config);
-
-    ch::NetworkParams net;
-    net.miner_jitter_sigma = 0.0;
-    ch::ConsensusSim sim(3, 0xC0FFEE, ch::NetworkModel(net), 91);
-
-    double now = 0.0;
-    for (int r = 0; r < 6; ++r) {
-        const auto record = system.run_round();
-        now += record.delay.total();
-        // The round's winner broadcasts the freshly committed block.
-        const ch::Block& block =
-            system.blockchain().at(system.blockchain().height() - 1);
-        const auto origin = static_cast<std::size_t>(r % 3);
-        // Deliver directly to the origin replica, gossip to the rest.
-        (void)sim.broadcast(origin, block, now);
-        sim.advance_to(now + 1.0);
-    }
-    sim.drain();
-
-    EXPECT_TRUE(sim.consistent());
-    for (std::size_t m = 0; m < 3; ++m) {
-        EXPECT_EQ(sim.replica(m).height(), system.blockchain().height());
-        EXPECT_EQ(sim.replica(m).tip().header.hash(),
-                  system.blockchain().tip().header.hash());
-        // Procedure I served from any replica gives the same weights.
-        const auto gradient = sim.replica(m).latest_global_gradient();
-        ASSERT_TRUE(gradient.has_value());
-        ASSERT_EQ(gradient->size(), system.weights().size());
-        for (std::size_t i = 0; i < gradient->size(); ++i)
-            EXPECT_FLOAT_EQ((*gradient)[i], system.weights()[i]);
-    }
-}
 
 TEST(IntegrationConsensus, ExportedChainAuditableOnAnyReplica) {
     World world;

@@ -511,11 +511,14 @@ void expect_engaged_pin(LatePolicy policy, const EngagedPin& pin) {
 // Captured from the round driver before Procedure IV was factored into
 // one settle step (World(10, 61), engaged_faulted_config(policy), run(4)):
 // {participants, late_updates, carried_in_updates, detection_rate} per
-// round, then the weights' FNV-1a and the ledger's grand total.
+// round, then the weights' FNV-1a and the ledger's grand total.  The
+// detection rates count only attackers whose forged update reached
+// Algorithm 2: retroactive round 0 (attacker 2 dropped), next-round
+// round 0 (2 and 9 late) and round 3 (4 and 6 late) read 1.0.
 constexpr EngagedPin kRetroactivePin = {
     0x39cb5202548c8a68ULL,
     0x1.fffffffffffffp+1,
-    {{8, 3, 0, 0x1.5555555555555p-1},
+    {{8, 3, 0, 0x1p+0},
      {8, 3, 0, 0x1p+0},
      {9, 3, 0, 0x1p+0},
      {7, 2, 0, 0x1p+0}},
@@ -523,10 +526,10 @@ constexpr EngagedPin kRetroactivePin = {
 constexpr EngagedPin kNextRoundPin = {
     0x4e31ea2ec71c3652ULL,
     0x1.0000000000001p+2,
-    {{5, 3, 0, 0x1.5555555555555p-2},
+    {{5, 3, 0, 0x1p+0},
      {7, 3, 2, 0x1p+0},
      {5, 3, 0, 0x0p+0},
-     {7, 3, 1, 0x0p+0}},
+     {7, 3, 1, 0x1p+0}},
 };
 
 TEST(RoundEnginePin, RetroactiveFaultedSeriesIsPinned) {
