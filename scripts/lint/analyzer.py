@@ -44,8 +44,10 @@ Usage:
   analyzer.py --build-dir build            # analyze the tree; exit 1 on
                                            # findings from enforcing rules
   analyzer.py --rule layer-deps            # restrict to one rule
+                                           # (repeatable)
   analyzer.py --self-test                  # per-rule bad*/clean* fixture
-                                           # trees (tests/analyzer_fixtures)
+                                           # trees (tests/analyzer_fixtures);
+                                           # --rule restricts it too
   analyzer.py --graph-dump graph.json      # dump include edges, call
                                            # edges, unresolved calls,
                                            # locks, pool-task roots
@@ -869,7 +871,10 @@ class Program:
             dirty = True
         if cache_path and dirty:
             try:
-                tmp = cache_path + ".tmp"
+                # Per-process temp name: concurrent runs over one build
+                # dir (parallel ctest entries) never share a half-written
+                # file; os.replace keeps the last complete one.
+                tmp = f"{cache_path}.{os.getpid()}.tmp"
                 with open(tmp, "w", encoding="utf-8") as f:
                     json.dump(cache, f)
                 os.replace(tmp, cache_path)
@@ -1596,11 +1601,11 @@ def _allowlist_entries(allow):
             for entries in conf.values() for name in entries]
 
 
-def self_test(fixtures_dir):
+def self_test(fixtures_dir, rules):
     """Every rule (and the stale check) needs at least one bad* tree, which
     must be flagged, and one clean* tree, which must not be."""
     failures = 0
-    for rule in RULES + (STALE_ALLOWLIST,):
+    for rule in rules:
         rule_dir = os.path.join(fixtures_dir, rule.replace("-", "_"))
         trees = sorted(d for d in os.listdir(rule_dir)
                        if d.startswith(("bad", "clean"))) \
@@ -1804,8 +1809,9 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.self_test:
-        return self_test(os.path.join(REPO_ROOT, "tests",
-                                      "analyzer_fixtures"))
+        return self_test(os.path.join(REPO_ROOT, "tests", "analyzer_fixtures"),
+                         tuple(args.rule) if args.rule
+                         else RULES + (STALE_ALLOWLIST,))
 
     t0 = time.monotonic()
     here = os.path.dirname(os.path.abspath(__file__))
