@@ -6,6 +6,7 @@
 #include "cluster/dbscan.hpp"
 #include "cluster/kmeans.hpp"
 #include "core/strategies.hpp"
+#include "fl/aggregation.hpp"
 #include "incentive/contribution.hpp"
 #include "support/rng.hpp"
 

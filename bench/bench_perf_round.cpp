@@ -29,7 +29,6 @@
 
 #include "cluster/index.hpp"
 #include "core/system.hpp"
-#include "fl/sharding.hpp"
 #include "support/cli.hpp"
 #include "support/fault_plan.hpp"
 #include "support/simd.hpp"
@@ -67,8 +66,6 @@ struct StageTotals {
     double aggregate = 0.0;
     double mine = 0.0;
     double index_build = 0.0;
-    double cluster_shards = 0.0;
-    double cluster_root = 0.0;
     std::size_t index_peak_bytes = 0;
     /// Virtual seconds waiting for quorum (async round engine); simulated
     /// time, so never part of total().
@@ -83,34 +80,27 @@ struct StageTotals {
 struct SweepPoint {
     std::size_t clients = 0;
     std::size_t rounds = 0;
-    /// Effective shard-tree fan-out at this point: the requested
-    /// --shards after fl::ShardTree's min-shard-size clamp (small sweep
-    /// points may run fewer shards than the header requests).
-    std::size_t shards_effective = 1;
     StageTotals total;
     double run_seconds = 0.0;
     double final_accuracy = 0.0;
 };
 
 void append_json(std::string& out, const SweepPoint& p) {
-    char buf[640];
+    char buf[576];
     std::snprintf(
         buf, sizeof buf,
-        "    {\"clients\": %zu, \"rounds\": %zu, "
-        "\"shards_effective\": %zu,\n"
+        "    {\"clients\": %zu, \"rounds\": %zu,\n"
         "     \"seconds\": {\"local\": %.6f, \"cluster\": %.6f, "
         "\"index_build\": %.6f, "
-        "\"shard_cluster\": %.6f, \"root_cluster\": %.6f, "
         "\"aggregate\": %.6f, \"mine\": %.6f, \"wait_quorum\": %.6f, "
         "\"total\": %.6f},\n"
         "     \"index_peak_bytes\": %zu,\n"
         "     \"late_updates\": %zu,\n"
         "     \"run_seconds\": %.6f, \"final_accuracy\": %.4f}",
-        p.clients, p.rounds, p.shards_effective, p.total.local, p.total.cluster,
-        p.total.index_build, p.total.cluster_shards, p.total.cluster_root,
-        p.total.aggregate, p.total.mine, p.total.wait_quorum,
-        p.total.total(), p.total.index_peak_bytes, p.total.late_updates,
-        p.run_seconds, p.final_accuracy);
+        p.clients, p.rounds, p.total.local, p.total.cluster,
+        p.total.index_build, p.total.aggregate, p.total.mine,
+        p.total.wait_quorum, p.total.total(), p.total.index_peak_bytes,
+        p.total.late_updates, p.run_seconds, p.final_accuracy);
     out += buf;
 }
 
@@ -129,8 +119,6 @@ int main(int argc, char** argv) {
             "  --index=exact          Algorithm-2 neighborhood backend\n"
             "                         (auto|exact|lazy|random_projection|\n"
             "                         sampled)\n"
-            "  --shards=1             hierarchical shard-tree fan-out\n"
-            "                         (1 = flat single-pass Algorithm 2)\n"
             "  --kernels=             vector-kernel table: scalar|simd|auto\n"
             "                         (default: FAIRBFL_KERNELS, else\n"
             "                         scalar = the bit-pinned default)\n"
@@ -153,7 +141,6 @@ int main(int argc, char** argv) {
     const std::string system = args.get_string("system", "fairbfl");
     const std::string engine = args.get_string("engine", "batched");
     const std::string index = args.get_string("index", "exact");
-    const auto shards = static_cast<std::size_t>(args.get_int("shards", 1));
     // Like fairbfl_sim: only an explicit flag overrides FAIRBFL_KERNELS.
     const std::string kernels = args.get_string("kernels", "");
     const double quorum = args.get_double("quorum", 1.0);
@@ -209,7 +196,6 @@ int main(int argc, char** argv) {
         spec.fair.fl.seed = seed;
         spec.fair.fl.batched_training = engine == "batched";
         spec.fair.incentive.index = index;
-        spec.fair.incentive.sharding.shards = shards;
         spec.fair.miners = miners;
         spec.fair.round.quorum_fraction = quorum;
         spec.fair.round.deadline_ns =
@@ -235,10 +221,6 @@ int main(int argc, char** argv) {
         SweepPoint point;
         point.clients = clients;
         point.rounds = run.series.size();
-        // Full participation (ratio 1.0): every round clusters `clients`
-        // updates, so the effective fan-out is the tree's clamp at n.
-        point.shards_effective =
-            fl::ShardTree(spec.fair.incentive.sharding).shard_count(clients);
         point.run_seconds = std::chrono::duration<double>(t1 - t0).count();
         point.final_accuracy = run.final_accuracy;
         for (const auto& p : run.series) {
@@ -246,9 +228,6 @@ int main(int argc, char** argv) {
             point.total.local += stats.seconds_of("round.local");
             point.total.cluster += stats.seconds_of("round.cluster");
             point.total.index_build += stats.seconds_of("cluster.index_build");
-            point.total.cluster_shards +=
-                stats.seconds_of("cluster.shard_pass");
-            point.total.cluster_root += stats.seconds_of("cluster.root_pass");
             point.total.aggregate += stats.seconds_of("round.aggregate");
             point.total.mine += stats.seconds_of("round.mine");
             point.total.index_peak_bytes =
@@ -263,12 +242,10 @@ int main(int argc, char** argv) {
         }
         points.push_back(point);
         std::fprintf(stderr,
-                     "# n=%-4zu local=%.4fs cluster=%.4fs (index=%.4fs, "
-                     "shards=%.4fs, root=%.4fs) "
+                     "# n=%-4zu local=%.4fs cluster=%.4fs (index=%.4fs) "
                      "aggregate=%.4fs mine=%.4fs peak_index=%zuB run=%.4fs\n",
                      clients, point.total.local, point.total.cluster,
-                     point.total.index_build, point.total.cluster_shards,
-                     point.total.cluster_root, point.total.aggregate,
+                     point.total.index_build, point.total.aggregate,
                      point.total.mine, point.total.index_peak_bytes,
                      point.run_seconds);
     }
@@ -290,12 +267,11 @@ int main(int argc, char** argv) {
     json += "  \"late\": \"" + late + "\",\n";
     char header[320];
     std::snprintf(header, sizeof header,
-                  "  \"shards\": %zu,\n"
                   "  \"quorum\": %.4f,\n  \"deadline_ms\": %.4f,\n"
                   "  \"churn\": %.4f,\n"
                   "  \"rounds\": %zu,\n  \"feature_dim\": %zu,\n"
                   "  \"miners\": %zu,\n  \"seed\": %llu,\n  \"sweep\": [\n",
-                  shards, quorum, deadline_ms, churn, rounds, dim, miners,
+                  quorum, deadline_ms, churn, rounds, dim, miners,
                   static_cast<unsigned long long>(seed));
     json += header;
     for (std::size_t i = 0; i < points.size(); ++i) {

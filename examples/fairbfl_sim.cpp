@@ -9,12 +9,14 @@
 //       [--discard] [--attack=signflip --attackers=3] [--encrypt] \
 //       [--save-chain=chain.bin] [--csv=out.csv]
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
 
 #include "chain/storage.hpp"
+#include "cluster/registry.hpp"
 #include "core/system.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
@@ -71,8 +73,6 @@ int main(int argc, char** argv) {
             "                       exact|lazy|random_projection|sampled;\n"
             "                       any IndexRegistry key; auto defers to\n"
             "                       the clustering algorithm)\n"
-            "  --shards=N           hierarchical shard-tree fan-out for\n"
-            "                       Algorithm 2 (1 = flat single pass)\n"
             "  --kernels=NAME       vector-kernel table (scalar|simd|auto;\n"
             "                       scalar -- the default -- is bit-pinned,\n"
             "                       simd/auto trade bit-identity for the\n"
@@ -123,8 +123,8 @@ int main(int argc, char** argv) {
     core::EnvironmentConfig env_config;
     env_config.data.samples =
         static_cast<std::size_t>(args.get_int("samples", 3000));
-    env_config.data.feature_dim =
-        static_cast<std::size_t>(args.get_int("dim", 64));
+    const std::int64_t dim = args.get_int("dim", 64);
+    env_config.data.feature_dim = static_cast<std::size_t>(dim);
     env_config.data.seed = seed;
     env_config.partition.scheme =
         parse_partition(args.get_string("partition", "shards"));
@@ -139,7 +139,8 @@ int main(int argc, char** argv) {
     fl::FlConfig fl_config;
     fl_config.client_ratio = args.get_double("ratio", 0.1);
     fl_config.rounds = rounds;
-    fl_config.sgd.learning_rate = args.get_double("eta", 0.05);
+    const double eta = args.get_double("eta", 0.05);
+    fl_config.sgd.learning_rate = eta;
     fl_config.sgd.epochs = static_cast<std::size_t>(args.get_int("epochs", 5));
     fl_config.sgd.batch_size =
         static_cast<std::size_t>(args.get_int("batch", 10));
@@ -156,7 +157,6 @@ int main(int argc, char** argv) {
     const bool discard = args.get_flag("discard");
     const std::string clustering = args.get_string("clustering", "dbscan");
     const std::string index = args.get_string("index", "auto");
-    const auto shards = static_cast<std::size_t>(args.get_int("shards", 1));
     // Empty default defers to FAIRBFL_KERNELS (resolved on first kernel
     // call); an explicit flag wins over the environment.
     const std::string kernels = args.get_string("kernels", "");
@@ -188,10 +188,25 @@ int main(int argc, char** argv) {
                      late.c_str());
         return 1;
     }
-    if (quorum <= 0.0 || deadline_ms < 0.0) {
-        std::fprintf(stderr,
-                     "need --quorum > 0 and --deadline-ms >= 0\n");
+    if (deadline_ms < 0.0) {
+        std::fprintf(stderr, "need --deadline-ms >= 0\n");
         return 1;
+    }
+    // Out-of-range values the systems would otherwise run with silently:
+    // a config error (exit 2), like an unsignable key size.
+    const char* config_error = nullptr;
+    if (!(quorum > 0.0 && quorum <= 1.0))
+        config_error = "--quorum must be in (0, 1]";
+    else if (!std::isfinite(eta) || eta <= 0.0)
+        config_error = "--eta must be finite and > 0";
+    else if (dim <= 0)
+        config_error = "--dim must be > 0";
+    else if (attack.kind != core::AttackKind::kNone &&
+             attack.max_attackers > clients)
+        config_error = "--attackers must not exceed --clients";
+    if (config_error != nullptr) {
+        std::fprintf(stderr, "%s\n", config_error);
+        return 2;
     }
     if (trace_format != "binary" && trace_format != "text" &&
         trace_format != "json") {
@@ -239,7 +254,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "--clustering: unknown backend '%s' (known: %s)\n",
                      clustering.c_str(),
-                     core::detail::join_names(
+                     support::join_names(
                          cluster::ClusteringRegistry::global().names())
                          .c_str());
         return 1;
@@ -249,13 +264,12 @@ int main(int argc, char** argv) {
         std::fprintf(
             stderr, "--index: unknown backend '%s' (known: %s)\n",
             index.c_str(),
-            core::detail::join_names(cluster::IndexRegistry::global().names())
+            support::join_names(cluster::IndexRegistry::global().names())
                 .c_str());
         return 1;
     }
     spec.fair.incentive.clustering = clustering;
     spec.fair.incentive.index = index;
-    spec.fair.incentive.sharding.shards = shards;
     if (!aggregator.empty()) {
         if (spec.system != "fairbfl" && spec.system != "fairbfl_discard" &&
             spec.system != "pure_fl") {

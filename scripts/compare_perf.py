@@ -13,12 +13,10 @@ count regresses by more than the threshold.  Exit code is non-zero only
 with --fail-on-regression (CI warns by default: shared-runner timing noise
 should not block a merge, but it must be visible in the job summary).
 
-Artifacts written since the shard-tree PR additionally carry the
-per-level timings `seconds.shard_cluster` / `seconds.root_cluster` and a
-per-point `index_peak_bytes`; they are displayed when both artifacts have
-them but never gate (a flat run legitimately has zeros there).  Each
-artifact's configuration line (index backend, engine, shard fan-out) is
-printed so the summary says which backend each sweep actually ran.
+Artifacts also carry a per-point `index_peak_bytes`; it is displayed when
+both artifacts have it but never gates.  Each artifact's configuration
+line (index backend, engine, round-engine settings) is printed so the
+summary says which backend each sweep actually ran.
 
 A missing/unreadable previous artifact falls back to the committed seed
 baseline (bench/baselines/perf_round_seed.json, --seed-baseline to
@@ -30,7 +28,9 @@ Schema tolerance: artifacts carry a `schema_version` (added in the
 telemetry PR, version 2).  An artifact with a missing or different version
 is still compared -- stage keys are read defensively, and anything unknown
 or absent produces a `::warning::` annotation instead of a crash, so the
-gate keeps working across artifact generations.
+gate keeps working across artifact generations (the committed seed
+baseline, for one, carries two per-level stage keys that current
+artifacts no longer write).
 """
 
 import argparse
@@ -52,11 +52,10 @@ KNOWN_SCHEMA_VERSION = 2
 # index_build is a sub-component of cluster (new in the GradientIndex PR);
 # artifacts that predate it simply skip that row.
 WATCHED_STAGES = ("local", "cluster", "index_build")
-# Display-only stages: per-level timings (shard-tree PR) and the round
-# engine's virtual quorum wait (async-round PR) are informational -- flat
-# or lockstep runs have zeros there, and wait_quorum is *simulated* time,
-# so they must never gate.
-EXTRA_STAGES = ("shard_cluster", "root_cluster", "wait_quorum")
+# Display-only stage: the round engine's virtual quorum wait (async-round
+# PR) is informational -- lockstep runs have zeros there, and it is
+# *simulated* time, so it must never gate.
+EXTRA_STAGES = ("wait_quorum",)
 # Every stage key this script understands; anything else in `seconds` is
 # from another schema generation and only warned about.
 KNOWN_STAGES = set(WATCHED_STAGES + EXTRA_STAGES + ("aggregate", "mine",
@@ -101,15 +100,15 @@ def load_artifact(path, label):
     late = {point["clients"]: point.get("late_updates")
             for point in data.get("sweep", []) if "clients" in point}
     config = {key: data.get(key)
-              for key in ("index", "engine", "system", "shards",
-                          "quorum", "deadline_ms", "late", "churn")}
+              for key in ("index", "engine", "system", "quorum",
+                          "deadline_ms", "late", "churn")}
     return sweep, peak, late, config
 
 
 def describe(label, config):
     parts = [f"{key}={config[key]}" for key in
-             ("system", "engine", "index", "shards",
-              "quorum", "deadline_ms", "late", "churn")
+             ("system", "engine", "index", "quorum", "deadline_ms",
+              "late", "churn")
              if config.get(key) is not None]
     print(f"- {label}: {', '.join(parts) if parts else 'unknown config'}")
 
@@ -175,7 +174,7 @@ def main():
                 regressions.append((clients, stage, change))
     print()
 
-    # Peak per-pass index memory, when both artifacts record it.
+    # Peak index memory, when both artifacts record it.
     largest = common[-1]
     if prev_peak.get(largest) and curr_peak.get(largest) is not None:
         prev_b, curr_b = prev_peak[largest], curr_peak[largest]

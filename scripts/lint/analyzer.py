@@ -78,7 +78,7 @@ from dataclasses import dataclass
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import cpplex  # noqa: E402
-from cpplex import IDENT, NUMBER, PP, PUNCT  # noqa: E402
+from cpplex import IDENT, NUMBER, PP, PUNCT, STRING  # noqa: E402
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -90,7 +90,7 @@ RULES = ("raw-sync", "rng-determinism", "catch-swallow", "simd-isolation",
 
 # Bump whenever extraction below changes shape or semantics: stale caches
 # are discarded wholesale, never migrated.
-FACTS_VERSION = 6
+FACTS_VERSION = 7
 
 
 @dataclass
@@ -674,13 +674,54 @@ def _extract_pool_tasks(tokens):
     return out
 
 
+def _namespace_scope(tokens):
+    """Per token: True when it sits at namespace scope -- outside every
+    class, enum, function or initializer brace and every parenthesis."""
+    flags = []
+    opened = []  # per open brace: True for a namespace / extern "C" body
+    closed_scopes = 0  # open braces that are not namespace bodies
+    parens = 0
+    pending_ns = False
+    for k, t in enumerate(tokens):
+        flags.append(parens == 0 and closed_scopes == 0)
+        if t.kind == IDENT and t.value == "namespace":
+            pending_ns = True
+        elif t.kind == STRING and k > 0 and tokens[k - 1].value == "extern":
+            pending_ns = True
+        elif t.kind == PUNCT and t.value == "{":
+            opened.append(pending_ns)
+            closed_scopes += not pending_ns
+            pending_ns = False
+        elif t.kind == PUNCT and t.value == "}":
+            if opened:
+                closed_scopes -= not opened.pop()
+        elif t.kind == PUNCT and t.value == ";":
+            pending_ns = False
+        elif t.kind == PUNCT and t.value == "(":
+            parens += 1
+        elif t.kind == PUNCT and t.value == ")":
+            parens = max(0, parens - 1)
+    return flags
+
+
 def _extract_provides(tokens):
-    """Names a file declares (types, usings, macros, functions, globals):
-    the 'signature' used for unused-include and header-signature call
-    resolution.  Over-providing is safe (conservative); namespace names
-    are excluded so `support::` uses don't mark every support header
-    used."""
+    """Names a file declares (types, usings, macros, functions, globals),
+    as (every name, the namespace-scope subset).  The full set is the
+    'signature' for header-signature call resolution, where
+    over-providing is safe (conservative).  unused-include reads only the
+    namespace-scope subset: a header's member, parameter and local names
+    (`end`, `out`, `finish`) are no reason to include it.  Namespace
+    names are excluded from both so `support::` uses don't mark every
+    support header used."""
     provides = set()
+    ns_provides = set()
+    at_ns_scope = _namespace_scope(tokens)
+
+    def provide(name, k):
+        provides.add(name)
+        if at_ns_scope[k]:
+            ns_provides.add(name)
+
     n = len(tokens)
     k = 0
     while k < n:
@@ -688,7 +729,7 @@ def _extract_provides(tokens):
         if t.kind == PP:
             m = re.match(r"#\s*define\s+([A-Za-z_]\w*)", t.value)
             if m:
-                provides.add(m.group(1))
+                provide(m.group(1), k)
             k += 1
             continue
         if t.kind == IDENT and t.value in ("class", "struct", "enum",
@@ -704,27 +745,39 @@ def _extract_provides(tokens):
                     j = _find_matching(tokens, j, "(", ")") + 1
                     continue
                 if v.kind == IDENT and v.value not in _NOT_DECL_NAMES:
-                    last = v.value
+                    last = j
                 j += 1
-            if last:
-                provides.add(last)
+            if last is not None:
+                provide(tokens[last].value, last)
             k = j
             continue
         if t.kind == IDENT and t.value == "using" and k + 2 < n \
                 and tokens[k + 1].kind == IDENT \
                 and tokens[k + 2].value == "=":
-            provides.add(tokens[k + 1].value)
+            provide(tokens[k + 1].value, k + 1)
             k += 3
             continue
+        if t.kind == IDENT and t.value == "using":
+            # A using-declaration (`using crypto::NodeId;`) re-exports the
+            # last name into this scope.
+            j = k + 1
+            while j + 2 < n and tokens[j].kind == IDENT \
+                    and tokens[j + 1].value == "::":
+                j += 2
+            if j > k + 1 and j + 1 < n and tokens[j].kind == IDENT \
+                    and tokens[j + 1].value == ";":
+                provide(tokens[j].value, j)
+                k = j + 2
+                continue
         if t.kind == IDENT and t.value == "typedef":
             j = k + 1
             last = None
             while j < n and tokens[j].value != ";":
                 if tokens[j].kind == IDENT:
-                    last = tokens[j].value
+                    last = j
                 j += 1
-            if last:
-                provides.add(last)
+            if last is not None:
+                provide(tokens[last].value, last)
             k = j
             continue
         if t.kind == IDENT and t.value not in _NOT_DECL_NAMES and k > 0:
@@ -741,9 +794,9 @@ def _extract_provides(tokens):
             if prev_ok and nxt is not None and \
                     (nxt.value in ("(", "=", ";", ",", "{", "[", ")")
                      or nxt.kind == IDENT):
-                provides.add(t.value)
+                provide(t.value, k)
         k += 1
-    return provides
+    return provides, ns_provides
 
 
 def _extract_fp_idents(tokens):
@@ -799,6 +852,7 @@ def extract_facts(text):
             idents.update(_PP_IDENT_RE.findall(t.value))
         elif t.kind == IDENT:
             idents.add(t.value)
+    provides, ns_provides = _extract_provides(tokens)
     return {
         "token_rules": {rule: hits for rule, match in _TOKEN_RULES.items()
                         if (hits := match(tokens))},
@@ -806,7 +860,8 @@ def extract_facts(text):
         "functions": list(_extract_functions(tokens)),
         "pool_tasks": _extract_pool_tasks(tokens),
         "idents": sorted(idents),
-        "provides": sorted(_extract_provides(tokens)),
+        "provides": sorted(provides),
+        "ns_provides": sorted(ns_provides),
         "fp_idents": sorted(_extract_fp_idents(tokens)),
         "mutex_decls": _extract_mutex_decls(tokens),
     }
@@ -830,7 +885,7 @@ class Program:
         self.cache_hits = 0
         self.cache_misses = 0
         self._closure = {}
-        self._provides_closure = {}
+        self._ns_provides_closure = {}
         self._fp_closure = {}
         self._resolve_memo = {}
         self._provset_memo = {}
@@ -937,13 +992,13 @@ class Program:
         self._closure[rel] = seen
         return seen
 
-    def provides_closure(self, rel):
-        if rel not in self._provides_closure:
+    def ns_provides_closure(self, rel):
+        if rel not in self._ns_provides_closure:
             out = set()
             for f in self.closure(rel):
-                out.update(self.facts[f]["provides"])
-            self._provides_closure[rel] = out
-        return self._provides_closure[rel]
+                out.update(self.facts[f]["ns_provides"])
+            self._ns_provides_closure[rel] = out
+        return self._ns_provides_closure[rel]
 
     def fp_closure(self, rel):
         if rel not in self._fp_closure:
@@ -1413,7 +1468,7 @@ def _unused_includes(program):
             # provide a referenced name -- names satisfied only by its
             # nested includes mean the nested header is the one to
             # include.
-            provs = set(program.facts[target]["provides"])
+            provs = set(program.facts[target]["ns_provides"])
             if not provs:
                 continue
             if provs.isdisjoint(uses):
@@ -1758,7 +1813,7 @@ def explain(program, allow, layers, query):
             if target is None:
                 print(f"  line {line}: {inc} -> <external>")
                 continue
-            provs = program.provides_closure(target)
+            provs = program.ns_provides_closure(target)
             used = sorted(provs & uses)[:5]
             print(f"  line {line}: {inc} -> {target}: "
                   + (f"used via {used}" if used else "UNUSED"))
@@ -1830,12 +1885,15 @@ def main() -> int:
     if args.graph_dump:
         graph_dump(program, args.graph_dump)
 
+    # With the graph on stdout, everything else goes to stderr so the dump
+    # stays one parseable JSON document.
+    report = sys.stderr if args.graph_dump == "-" else sys.stdout
     enforcing = []
     for f in findings:
         if f.rule == "unused-include" and not args.strict:
-            print(str(f).replace(": error: ", ": warning: ", 1))
+            print(str(f).replace(": error: ", ": warning: ", 1), file=report)
         else:
-            print(f)
+            print(f, file=report)
             enforcing.append(f)
     elapsed = time.monotonic() - t0
     per_rule = {}
@@ -1856,7 +1914,7 @@ def main() -> int:
           f"{len(enforcing)} finding(s) "
           f"({len(findings) - len(enforcing)} report-only), "
           f"{elapsed:.2f}s{note}",
-          file=sys.stderr if enforcing else sys.stdout)
+          file=sys.stderr if enforcing else report)
     return 1 if enforcing else 0
 
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "chain/pow.hpp"
+
 namespace fairbfl::chain {
 
 MiningRace::MiningRace(std::vector<MinerSpec> miners, NetworkModel network,

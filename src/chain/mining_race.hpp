@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "chain/network.hpp"
-#include "chain/pow.hpp"
+#include "chain/transaction.hpp"
 #include "support/rng.hpp"
 
 namespace fairbfl::chain {

@@ -170,9 +170,8 @@ public:
 
     /// Bytes of storage this index owns beyond the borrowed points: the
     /// dense matrix, sketches' matrix, or pivot-signature table.  Zero for
-    /// backends that precompute nothing ("lazy").  This is the number the
-    /// shard tree (fl/sharding.hpp) caps per pass -- the per-round memory
-    /// ceiling reported as `index_peak_bytes` in perf artifacts.
+    /// backends that precompute nothing ("lazy").  Reported as
+    /// `index_peak_bytes` in perf artifacts.
     [[nodiscard]] virtual std::size_t storage_bytes() const noexcept {
         return 0;
     }
@@ -380,9 +379,9 @@ private:
 /// distance is the trimmed-RMS difference between profiles.  Points close
 /// under the true metric have close profiles (each coordinate is
 /// 1-Lipschitz in the point by the triangle inequality), so cluster
-/// structure survives while memory stays O(n m) -- the backend a
-/// million-client shard can afford, where any (n+1)^2 matrix cannot
-/// exist.  Queries are O(m) per pair with no precomputed pairwise table.
+/// structure survives while the signature table stays O(n m), plus the
+/// m owned pivot copies.  Queries are O(m) per pair with no precomputed
+/// pairwise table.
 ///
 /// When n <= m the profile table (n m distances) costs at least as much
 /// to build and store as the dense matrix it is supposed to avoid, so --
@@ -442,11 +441,15 @@ public:
 
     /// Pivot count actually in use; 0 in the small-n dense fallback.
     [[nodiscard]] std::size_t pivot_count() const noexcept { return pivots_; }
-    /// Bytes held by the index storage: the n x m signature table, or the
-    /// dense matrix in the small-n fallback.
+    /// Bytes held by the index storage: the n x m signature table plus
+    /// the m owned pivot copies, or the dense matrix in the small-n
+    /// fallback.
     [[nodiscard]] std::size_t storage_bytes() const noexcept override {
+        std::size_t pivot_floats = 0;
+        for (const auto& pivot : pivot_points_) pivot_floats += pivot.size();
         return (signatures_.size() + dense_.size() * dense_.size()) *
-               sizeof(double);
+                   sizeof(double) +
+               pivot_floats * sizeof(float);
     }
 
 private:

@@ -46,21 +46,14 @@ std::vector<std::uint8_t> drift_flags(
 }  // namespace
 
 std::unique_ptr<GradientIndex> IndexCache::acquire(
-    std::size_t slot, std::string_view key,
-    std::span<const std::vector<float>> points, const IndexParams& params,
-    support::ThreadPool& pool) {
+    std::string_view key, std::span<const std::vector<float>> points,
+    const IndexParams& params, support::ThreadPool& pool) {
     Entry entry;
-    bool have_entry = false;
     {
         support::MutexLock lock(mutex_);
-        const auto it = slots_.find(slot);
-        if (it != slots_.end()) {
-            entry = std::move(it->second);
-            slots_.erase(it);
-            have_entry = true;
-        }
+        entry = std::exchange(entry_, Entry{});
     }
-    if (have_entry && entry.index != nullptr && entry.key == key &&
+    if (entry.index != nullptr && entry.key == key &&
         params_compatible(entry.params, params) &&
         shape_compatible(points, entry.points)) {
         const std::vector<std::uint8_t> moved =
@@ -81,7 +74,7 @@ std::unique_ptr<GradientIndex> IndexCache::acquire(
     return IndexRegistry::global().build(key, points, params, pool);
 }
 
-void IndexCache::release(std::size_t slot, std::string_view key,
+void IndexCache::release(std::string_view key,
                          std::vector<std::vector<float>> points,
                          const IndexParams& params,
                          std::unique_ptr<GradientIndex> index) {
@@ -89,7 +82,7 @@ void IndexCache::release(std::size_t slot, std::string_view key,
     Entry entry{std::string(key), params, std::move(points),
                 std::move(index)};
     support::MutexLock lock(mutex_);
-    slots_.insert_or_assign(slot, std::move(entry));
+    entry_ = std::move(entry);
 }
 
 }  // namespace fairbfl::cluster

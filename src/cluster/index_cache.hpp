@@ -4,12 +4,10 @@
 //
 // Every round used to rebuild its neighborhood index from scratch even
 // though converged federated gradients drift slowly between rounds.  The
-// cache keeps the previous round's index per *slot* (one slot per
-// Algorithm-2 pass: the flat round, the shard tree's root pass, each
-// shard), detects which points actually moved (relative L2 drift against
-// the stored point set, IndexParams::refresh_threshold), and asks the
-// backend to update() itself -- re-sketching only the movers -- instead
-// of rebuilding.
+// cache keeps the previous round's index, detects which points actually
+// moved (relative L2 drift against the stored point set,
+// IndexParams::refresh_threshold), and asks the backend to update()
+// itself -- re-sketching only the movers -- instead of rebuilding.
 //
 // Only backends with supports_update() are ever stored.  The exact and
 // lazy backends rebuild every round exactly as before, so the bit-pinned
@@ -17,10 +15,9 @@
 // updatable backends re-sketch everything and stay bit-identical to a
 // rebuild too (the equivalence tests/test_incremental_index.cpp pins).
 //
-// Thread safety: the shard tree runs its shard passes concurrently on one
-// shared cache, so the slot map is mutex-guarded (support/sync.hpp; the
+// Thread safety: the entry is mutex-guarded (support/sync.hpp; the
 // raw-sync lint forbids std primitives here).  An acquired entry is taken
-// *out* of the map -- the O(n d) drift scan and O(moved d k) update run
+// *out* of the cache -- the O(n d) drift scan and O(moved d k) update run
 // outside the lock -- and put back on release.
 
 #include <cstdint>
@@ -28,7 +25,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/index.hpp"
@@ -36,35 +32,31 @@
 
 namespace fairbfl::cluster {
 
-/// Slot-keyed cross-round cache of updatable GradientIndex backends.
+/// One-entry cross-round cache of an updatable GradientIndex backend.
 class IndexCache {
 public:
     /// Returns an index serving `points` under (key, params): the cached
-    /// slot index update()d in place when it is compatible (same backend
+    /// index update()d in place when it is compatible (same backend
     /// key, same params, same point-set shape), a fresh registry build
     /// otherwise.  Both paths are instrumented exactly like
     /// IndexRegistry::build ("cluster.index_build" span, index-bytes
     /// counter), so perf artifacts stay comparable; reuses additionally
     /// bump the "cluster.index_reuse" counter.
-    /// \param slot   pass ordinal (flat round 0; shard tree: root and one
-    ///               per shard) -- concurrent passes must use distinct
-    ///               slots.
     /// \param key    IndexRegistry backend key.
     /// \param points the round's point set (updates + provisional global).
     /// \param params backend tuning; refresh_threshold drives the drift
     ///               detection.
     /// \param pool   carries build/update fan-out.
     [[nodiscard]] std::unique_ptr<GradientIndex> acquire(
-        std::size_t slot, std::string_view key,
-        std::span<const std::vector<float>> points, const IndexParams& params,
+        std::string_view key, std::span<const std::vector<float>> points,
+        const IndexParams& params,
         support::ThreadPool& pool = support::ThreadPool::global());
 
     /// Stores the index (and the point set it reflects) for next round's
     /// acquire.  Indexes that cannot update() are dropped -- rebuilding
     /// them is the pinned behavior.  `points` is consumed; pass the
     /// round's point vector by move.
-    void release(std::size_t slot, std::string_view key,
-                 std::vector<std::vector<float>> points,
+    void release(std::string_view key, std::vector<std::vector<float>> points,
                  const IndexParams& params,
                  std::unique_ptr<GradientIndex> index);
 
@@ -77,7 +69,7 @@ private:
     };
 
     support::Mutex mutex_;
-    std::unordered_map<std::size_t, Entry> slots_ GUARDED_BY(mutex_);
+    Entry entry_ GUARDED_BY(mutex_);
 };
 
 }  // namespace fairbfl::cluster

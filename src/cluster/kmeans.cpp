@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "support/rng.hpp"
 #include "support/vecmath.hpp"
 
 namespace fairbfl::cluster {

@@ -8,7 +8,6 @@
 // direction vectors.
 
 #include "cluster/clustering.hpp"
-#include "support/rng.hpp"
 
 namespace fairbfl::cluster {
 

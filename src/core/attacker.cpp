@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "support/rng.hpp"
+
 namespace fairbfl::core {
 
 AttackReport apply_attack(std::span<fl::GradientUpdate> updates,

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "fl/gradient.hpp"
-#include "support/rng.hpp"
 
 namespace fairbfl::core {
 

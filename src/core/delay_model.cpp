@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "chain/mining_race.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace fairbfl::core {

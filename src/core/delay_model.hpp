@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "chain/mining_race.hpp"
 #include "chain/network.hpp"
 #include "support/rng.hpp"
 

@@ -12,12 +12,13 @@
 #include <string>
 #include <vector>
 
-#include "core/blockchain_baseline.hpp"
-#include "core/fairbfl.hpp"
-#include "fl/fedprox.hpp"
+#include "core/delay_model.hpp"
+#include "fl/client.hpp"
+#include "ml/model.hpp"
 #include "ml/partition.hpp"
 #include "ml/synthetic_mnist.hpp"
 #include "support/stats.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace fairbfl::core {
 

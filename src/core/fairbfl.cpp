@@ -371,10 +371,9 @@ std::optional<incentive::ContributionReport> FairBfl::compute_global_update(
         record.detection_rate = reached.empty() ? 1.0 : 0.0;
         return std::nullopt;
     }
-    // Cluster on effective gradients against w_r.  The index-build /
-    // shard-pass / root-pass sub-spans and the index-bytes counter are
-    // emitted inside identify's callees (cluster::IndexRegistry::build,
-    // incentive/hierarchical.cpp).
+    // Cluster on effective gradients against w_r.  The index-build
+    // sub-span and the index-bytes counter are emitted inside identify's
+    // callees (cluster::IndexRegistry::build, cluster::IndexCache).
     incentive::ContributionReport report;
     {
         const telemetry::Span span(telemetry::labels::round_cluster());

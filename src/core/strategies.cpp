@@ -5,7 +5,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "incentive/hierarchical.hpp"
+#include "fl/aggregation.hpp"
+#include "support/cli.hpp"
 
 namespace fairbfl::core {
 
@@ -180,44 +181,6 @@ public:
 
 // --- Incentive policies ----------------------------------------------------
 
-/// Shard-tree Algorithm 2 (incentive/hierarchical.hpp): S independent
-/// shard-level passes plus a root pass over the survivor summaries.  The
-/// returned report is flat-compatible and carries the root-level
-/// settlement, which the default (Eq. 1) reward path returns directly.
-/// An explicitly configured Aggregator still governs the combine instead
-/// (see RewardPolicy::settle): a robust rule like trimmed_mean must not
-/// be bypassed by the tree, so it runs flat over the hierarchical
-/// survivors while detection and rewards keep the hierarchical labels.
-class ShardTreeContribution final : public ContributionPolicy {
-public:
-    explicit ShardTreeContribution(incentive::ContributionConfig config)
-        : config_(std::move(config)),
-          name_("shard_tree(" + config_.clustering + "/" + config_.index +
-                "/x" + std::to_string(config_.sharding.shards) + ")") {
-        // One cache per system: the tree's root and shard passes each use
-        // their own slot in it (incentive/hierarchical.cpp).
-        if (config_.index_cache == nullptr)
-            config_.index_cache = std::make_shared<cluster::IndexCache>();
-    }
-
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return name_;
-    }
-
-    [[nodiscard]] incentive::ContributionReport identify(
-        std::span<const fl::GradientUpdate> updates,
-        std::span<const float> provisional_global,
-        std::span<const float> reference) const override {
-        return incentive::identify_contributions_hierarchical(
-                   updates, provisional_global, config_, reference)
-            .report;
-    }
-
-private:
-    incentive::ContributionConfig config_;
-    std::string name_;
-};
-
 class ClusteredContribution final : public ContributionPolicy {
 public:
     explicit ClusteredContribution(incentive::ContributionConfig config)
@@ -322,7 +285,7 @@ std::shared_ptr<const Aggregator> make_aggregator(std::string_view name,
     }
     throw std::invalid_argument("unknown aggregator '" + std::string(name) +
                                 "' (known: " +
-                                detail::join_names(aggregator_names()) + ")");
+                                support::join_names(aggregator_names()) + ")");
 }
 
 std::vector<std::string_view> aggregator_names() {
@@ -354,14 +317,12 @@ std::shared_ptr<const ConsensusEngine> make_consensus(std::string_view name) {
     for (const auto& entry : kEngines) known.push_back(entry.name);
     throw std::invalid_argument("unknown consensus engine '" +
                                 std::string(name) +
-                                "' (known: " + detail::join_names(known) +
+                                "' (known: " + support::join_names(known) +
                                 ")");
 }
 
 std::shared_ptr<const ContributionPolicy> make_contribution_policy(
     const incentive::ContributionConfig& config) {
-    if (config.sharding.shards > 1)
-        return std::make_shared<ShardTreeContribution>(config);
     return std::make_shared<ClusteredContribution>(config);
 }
 

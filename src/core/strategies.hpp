@@ -22,9 +22,7 @@
 #include <vector>
 
 #include "core/delay_model.hpp"
-#include "fl/aggregation.hpp"
 #include "incentive/contribution.hpp"
-#include "support/cli.hpp"
 
 namespace fairbfl::core {
 
@@ -119,10 +117,7 @@ public:
 };
 
 /// Algorithm 2: clustering (DBSCAN or k-means per `config`) + cosine
-/// scores.  With `config.sharding.shards > 1` the returned policy is the
-/// hierarchical shard tree (incentive/hierarchical.hpp): per-shard passes
-/// plus a root pass, reported flat-compatibly with the settlement
-/// precomputed.
+/// scores.
 [[nodiscard]] std::shared_ptr<const ContributionPolicy>
 make_contribution_policy(const incentive::ContributionConfig& config);
 
@@ -136,12 +131,9 @@ public:
 
     /// Applies the strategy to pick the surviving updates, then combines
     /// them: with `aggregator == nullptr` via Eq. 1 exactly
-    /// (incentive::apply_strategy -- which returns a shard tree's
-    /// precomputed root settlement when the report carries one); with an
-    /// explicit aggregator via its score-weighted form, so a robust rule
-    /// governs the final global update too -- including under sharding,
-    /// where it intentionally overrides the tree's Eq. 1 settlement and
-    /// combines the hierarchical survivors flat.
+    /// (incentive::apply_strategy); with an explicit aggregator via its
+    /// score-weighted form, so a robust rule governs the final global
+    /// update too.
     [[nodiscard]] virtual std::vector<float> settle(
         std::span<const fl::GradientUpdate> updates,
         const incentive::ContributionReport& report,
@@ -155,13 +147,5 @@ public:
 /// "keep_all" or "discard", matching incentive::LowContributionStrategy.
 [[nodiscard]] std::shared_ptr<const RewardPolicy> make_reward_policy(
     incentive::LowContributionStrategy strategy);
-
-namespace detail {
-/// Comma-joins a name list for "(known: ...)" error messages -- shared by
-/// the aggregator/consensus factories and the SystemRegistry.  The one
-/// implementation lives in support/cli.hpp (the cluster registries use it
-/// too); this alias keeps the historic core::detail spelling working.
-using support::join_names;
-}  // namespace detail
 
 }  // namespace fairbfl::core

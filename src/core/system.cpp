@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "support/cli.hpp"
+
 namespace fairbfl::core {
 
 namespace {
@@ -325,7 +327,7 @@ std::unique_ptr<System> SystemRegistry::make(const Environment& env,
             std::vector<std::string_view> known;
             for (const auto& [name, _] : factories_) known.push_back(name);
             throw std::out_of_range("unknown system '" + spec.system +
-                                    "' (known: " + detail::join_names(known) +
+                                    "' (known: " + support::join_names(known) +
                                     ")");
         }
         factory = it->second;

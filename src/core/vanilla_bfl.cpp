@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "fl/aggregation.hpp"
 #include "fl/sampling.hpp"
 
 namespace fairbfl::core {

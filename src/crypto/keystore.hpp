@@ -9,7 +9,6 @@
 #include <unordered_map>
 
 #include "crypto/rsa.hpp"
-#include "support/rng.hpp"
 
 namespace fairbfl::support {
 class ThreadPool;

@@ -1,6 +1,7 @@
 #include "fl/fedavg.hpp"
 
 #include "fl/aggregation.hpp"
+#include "fl/sampling.hpp"
 
 namespace fairbfl::fl {
 

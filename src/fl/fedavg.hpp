@@ -7,9 +7,7 @@
 
 #include "fl/client.hpp"
 #include "fl/local_trainer.hpp"
-#include "fl/sampling.hpp"
 #include "ml/model.hpp"
-#include "support/parallel.hpp"
 
 namespace fairbfl::fl {
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "fl/aggregation.hpp"
+#include "fl/sampling.hpp"
 
 namespace fairbfl::fl {
 

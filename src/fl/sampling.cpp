@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "support/rng.hpp"
+
 namespace fairbfl::fl {
 
 std::vector<std::size_t> sample_clients(std::size_t n, double ratio,

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "support/rng.hpp"
 
 namespace fairbfl::fl {
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
+#include "cluster/registry.hpp"
+#include "fl/aggregation.hpp"
 #include "support/vecmath.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -29,10 +31,8 @@ ContributionReport identify_contributions(
     std::span<const float> reference) {
     ContributionReport report;
     if (updates.empty()) return report;
-    // One span per Algorithm-2 pass: the flat round's single pass, or --
-    // under the shard tree -- each shard pass and the root pass (their
-    // item ordinal distinguishes them in the decoded log).  The index
-    // build inside emits its own "cluster.index_build" sub-span.
+    // Algorithm 2 runs under one span; the index build inside emits its
+    // own "cluster.index_build" sub-span.
     const telemetry::Span span(telemetry::labels::identify());
 
     // Points = all updates followed by the provisional global update, so a
@@ -81,8 +81,7 @@ ContributionReport identify_contributions(
     // plain registry build.
     std::unique_ptr<cluster::GradientIndex> index =
         config.index_cache != nullptr
-            ? config.index_cache->acquire(config.index_slot, index_key,
-                                          points, index_params)
+            ? config.index_cache->acquire(index_key, points, index_params)
             : cluster::IndexRegistry::global().build(index_key, points,
                                                      index_params);
     report.index_build_seconds =
@@ -200,9 +199,8 @@ ContributionReport identify_contributions(
     // round's incremental update.  Backends that cannot update are
     // dropped inside -- they rebuild next round exactly as before.
     if (config.index_cache != nullptr) {
-        config.index_cache->release(config.index_slot, index_key,
-                                    std::move(points), index_params,
-                                    std::move(index));
+        config.index_cache->release(index_key, std::move(points),
+                                    index_params, std::move(index));
     }
     return report;
 }
@@ -239,11 +237,6 @@ SurvivorSelection select_survivors(
 std::vector<float> apply_strategy(std::span<const fl::GradientUpdate> updates,
                                   const ContributionReport& report,
                                   LowContributionStrategy strategy) {
-    // Hierarchical rounds arrive pre-settled: the shard tree already
-    // applied the strategy per shard and combined per level (see
-    // incentive/hierarchical.hpp); re-running flat Eq. 1 here would undo
-    // the root-level weighting.
-    if (!report.settled_weights.empty()) return report.settled_weights;
     const SurvivorSelection selection =
         select_survivors(updates, report, strategy);
     if (selection.degenerate()) {

@@ -23,12 +23,11 @@
 #include <vector>
 
 #include "cluster/clustering.hpp"
+#include "cluster/dbscan.hpp"
 #include "cluster/index.hpp"
 #include "cluster/index_cache.hpp"
-#include "cluster/registry.hpp"
-#include "fl/aggregation.hpp"
+#include "cluster/kmeans.hpp"
 #include "fl/gradient.hpp"
-#include "fl/sharding.hpp"
 
 namespace fairbfl::incentive {
 
@@ -79,19 +78,8 @@ struct ContributionConfig {
     /// (core/strategies.cpp) install one per system, so consecutive
     /// rounds with an updatable backend maintain the index incrementally;
     /// exact/lazy backends rebuild regardless, keeping pinned series
-    /// intact.  Shared so hierarchical per-shard config copies reuse one
-    /// cache under distinct slots.
+    /// intact.
     std::shared_ptr<cluster::IndexCache> index_cache;
-    /// This pass's slot in the cache (hierarchical.cpp gives the root
-    /// pass and every shard pass their own).
-    std::size_t index_slot = 0;
-    /// Hierarchical shard tree (fl/sharding.hpp): `shards > 1` splits the
-    /// round into that many independent shard-level Algorithm 2 passes
-    /// plus a root pass over the shard summaries
-    /// (incentive/hierarchical.hpp), capping per-pass index memory at the
-    /// shard size.  The default (1) keeps the flat single-pass pipeline
-    /// bit-for-bit.
-    fl::ShardingConfig sharding;
 };
 
 /// Per-client outcome of Algorithm 2.
@@ -114,27 +102,10 @@ struct ContributionReport {
     /// Host wall seconds spent building the index -- a sub-component of
     /// the round's cluster-stage wall time (the "cluster.index_build"
     /// span inside "round.cluster").
-    /// Hierarchical rounds sum every pass's build here.
     double index_build_seconds = 0.0;
-    /// Peak GradientIndex::storage_bytes() of any single pass this round:
-    /// the flat pipeline's one index, or -- under the shard tree -- the
-    /// largest shard/root pass.  The per-process memory ceiling the
-    /// hierarchy exists to cap (perf JSON `index_peak_bytes`).
+    /// GradientIndex::storage_bytes() of this round's index (perf JSON
+    /// `index_peak_bytes`).
     std::size_t index_peak_bytes = 0;
-
-    // --- Shard-tree extras (incentive/hierarchical.hpp).  Flat rounds
-    // leave them at their defaults.
-    /// Number of shard-level passes (1 = flat pipeline).
-    std::size_t shard_count = 1;
-    /// Wall seconds summed over the shard-level passes / spent in the
-    /// root pass (sub-components of the cluster stage, like index_build).
-    double shard_seconds = 0.0;
-    double root_seconds = 0.0;
-    /// Root-level settled global update: Eq. 1 over the shard summaries
-    /// with the hierarchical weights already folded in.  When non-empty,
-    /// apply_strategy (and the default reward policy) return it directly
-    /// instead of re-running flat Eq. 1 over individual updates.
-    std::vector<float> settled_weights;
 
     /// Client ids labelled low contribution (the "drop index" of Table 2).
     [[nodiscard]] std::vector<fl::NodeId> low_clients() const;
@@ -186,9 +157,7 @@ struct SurvivorSelection {
 ///  * kDiscard  -> fair-aggregate the high-contribution updates only
 ///    (falls back to all updates if none were labelled high).
 /// Degenerate theta (all ~0, e.g. every update identical) falls back to the
-/// simple average.  A report carrying a hierarchical settlement
-/// (`settled_weights` non-empty) short-circuits to it: the shard tree has
-/// already combined per level.
+/// simple average.
 [[nodiscard]] std::vector<float> apply_strategy(
     std::span<const fl::GradientUpdate> updates,
     const ContributionReport& report, LowContributionStrategy strategy);

@@ -116,7 +116,7 @@ std::string to_text(const Dump& dump) {
 std::string to_json(const Dump& dump) {
     std::string out;
     out += "{\n  \"trace\": \"fairbfl_telemetry\",\n";
-    append_format(out, "  \"schema_version\": %d,\n", 2);
+    append_format(out, "  \"schema_version\": %d,\n", 3);
     append_format(out, "  \"records\": %zu,\n  \"labels\": %zu,\n",
                   dump.records.size(), dump.labels.size());
     out += "  \"rounds\": [\n";
@@ -135,7 +135,6 @@ std::string to_json(const Dump& dump) {
                       "    {\"session\": %u, \"round\": %u,\n"
                       "     \"seconds\": {\"local\": %.6f, "
                       "\"cluster\": %.6f, \"index_build\": %.6f, "
-                      "\"shard_cluster\": %.6f, \"root_cluster\": %.6f, "
                       "\"aggregate\": %.6f, \"mine\": %.6f, "
                       "\"wait_quorum\": %.6f, "
                       "\"total\": %.6f},\n"
@@ -143,9 +142,7 @@ std::string to_json(const Dump& dump) {
                       "     \"late_updates\": %" PRIu64 ",\n"
                       "     \"events\": %" PRIu64 ", \"stats\": {",
                       stats.session, stats.round, local, cluster,
-                      stats.seconds_of("cluster.index_build"),
-                      stats.seconds_of("cluster.shard_pass"),
-                      stats.seconds_of("cluster.root_pass"), aggregate, mine,
+                      stats.seconds_of("cluster.index_build"), aggregate, mine,
                       static_cast<double>(
                           stats.sum_of("round.wait_quorum_ns")) *
                           1e-9,

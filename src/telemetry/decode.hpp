@@ -33,9 +33,9 @@ namespace fairbfl::telemetry {
 
 /// JSON export: `schema_version`, record/label counts, and one entry per
 /// (session, round) with the perf_round.json stage keys (`seconds.local`,
-/// `seconds.cluster`, `seconds.index_build`, `seconds.shard_cluster`,
-/// `seconds.root_cluster`, `seconds.aggregate`, `seconds.mine`,
-/// `seconds.total`, `index_peak_bytes`) derived from the log, plus the raw
+/// `seconds.cluster`, `seconds.index_build`, `seconds.aggregate`,
+/// `seconds.mine`, `seconds.wait_quorum`, `seconds.total`,
+/// `index_peak_bytes`) derived from the log, plus the raw
 /// per-label statistics.
 [[nodiscard]] std::string to_json(const Dump& dump);
 

@@ -28,7 +28,7 @@
 //     a telemetry::Dump -- the binary trace `fairbfl_sim --trace` writes
 //     and telemetry/decode.hpp renders as text or JSON.
 //
-// Context (which session/round/shard a record belongs to) travels through
+// Context (which session/round/client a record belongs to) travels through
 // a thread-local Context that fan-out sites propagate into pool workers
 // with a ContextScope; spans additionally record their parent span id, so
 // the decoded log reconstructs the cross-thread span tree.
@@ -68,7 +68,7 @@ enum class RecordKind : std::uint8_t {
     kCounterMax = 4, ///< value = sample; statistics keep the max per label
 };
 
-/// `item` value meaning "no shard/client ordinal attached".
+/// `item` value meaning "no client ordinal attached".
 inline constexpr std::uint32_t kNoItem = 0xFFFFFFFFU;
 
 /// One fixed-size binary event record -- the unit the per-thread rings
@@ -80,7 +80,7 @@ struct Record {
     std::uint64_t parent = 0;   ///< SpanBegin: enclosing span id (0 = root)
     std::uint32_t session = 0;  ///< owning Session (0 = ambient, droppable)
     std::uint32_t round = 0;    ///< communication round from the context
-    std::uint32_t item = kNoItem;  ///< shard / client ordinal, kNoItem = none
+    std::uint32_t item = kNoItem;  ///< client ordinal, kNoItem = none
     Label label = 0;            ///< interned label id
     std::uint16_t thread = 0;   ///< writer's collector slot
     RecordKind kind = RecordKind::kSpanBegin;
@@ -109,7 +109,7 @@ void flush_all();
 // --- Context ---------------------------------------------------------------
 
 /// The thread-local tagging state every record inherits: which session and
-/// round it belongs to, an optional shard/client ordinal, and the span to
+/// round it belongs to, an optional client ordinal, and the span to
 /// parent under when the thread has no open span of its own (the cross-
 /// thread link a fan-out site passes to its pool workers).
 struct Context {
@@ -118,7 +118,7 @@ struct Context {
     std::uint32_t item = kNoItem;
     std::uint64_t parent = 0;
 
-    /// Copy with the shard/client ordinal replaced (fan-out bodies).
+    /// Copy with the client ordinal replaced (fan-out bodies).
     [[nodiscard]] Context with_item(std::uint32_t ordinal) const noexcept {
         Context ctx = *this;
         ctx.item = ordinal;
@@ -226,14 +226,6 @@ inline Label kernel_dispatch() {
 }
 inline Label index_reuse() {
     static const Label id = intern("cluster.index_reuse");
-    return id;
-}
-inline Label shard_pass() {
-    static const Label id = intern("cluster.shard_pass");
-    return id;
-}
-inline Label root_pass() {
-    static const Label id = intern("cluster.root_pass");
     return id;
 }
 inline Label identify() {

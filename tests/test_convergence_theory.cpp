@@ -13,6 +13,7 @@
 
 #include "fl/aggregation.hpp"
 #include "fl/fedavg.hpp"
+#include "fl/sampling.hpp"
 #include "ml/optimizer.hpp"
 #include "ml/partition.hpp"
 #include "ml/synthetic_mnist.hpp"

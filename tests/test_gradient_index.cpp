@@ -13,6 +13,7 @@
 #include "cluster/kmeans.hpp"
 #include "core/experiment.hpp"
 #include "core/fairbfl.hpp"
+#include "fl/aggregation.hpp"
 #include "incentive/contribution.hpp"
 #include "support/rng.hpp"
 
@@ -236,8 +237,10 @@ TEST(SampledIndex, MemoryCappedAtPivotTable) {
     params.pivots = 16;
     const cl::SampledIndex index(points, params);
     EXPECT_EQ(index.pivot_count(), 16U);
-    // O(n m) doubles, far under the n^2 the dense matrix would need.
-    EXPECT_EQ(index.storage_bytes(), 100U * 16U * sizeof(double));
+    // O(n m) doubles plus the m owned d-float pivot copies, far under the
+    // n^2 the dense matrix would need.
+    EXPECT_EQ(index.storage_bytes(),
+              100U * 16U * sizeof(double) + 16U * 64U * sizeof(float));
     // Still a dissimilarity: symmetric with a zero diagonal.
     for (std::size_t i = 0; i < 20; ++i) {
         EXPECT_EQ(index.distance(i, i), 0.0);

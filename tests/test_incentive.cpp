@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "fl/aggregation.hpp"
 #include "incentive/contribution.hpp"
 #include "incentive/reward.hpp"
 #include "support/rng.hpp"

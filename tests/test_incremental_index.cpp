@@ -163,43 +163,29 @@ TEST(IndexCache, ZeroThresholdSeriesMatchesUncachedRebuilds) {
     Rng rng(62);
     for (std::size_t round = 0; round < 4; ++round) {
         auto acquired =
-            cache.acquire(0, "random_projection", points, params);
+            cache.acquire("random_projection", points, params);
         const auto fresh = cl::IndexRegistry::global().build(
             "random_projection", points, params);
         expect_same_distances(*acquired, *fresh);
-        cache.release(0, "random_projection", points, params,
+        cache.release("random_projection", points, params,
                       std::move(acquired));
         points = drifted(points, std::vector<std::uint8_t>(points.size(), 1),
                          0.02, rng);
     }
 }
 
-TEST(IndexCache, SlotsAreIsolatedAndExactBackendsNeverCached) {
-    const auto points_a = grouped_gradients(4, 8, 128, 71);
-    const auto points_b = grouped_gradients(4, 8, 128, 72);
+TEST(IndexCache, ExactBackendsNeverCached) {
+    const auto points = grouped_gradients(4, 8, 128, 71);
     cl::IndexParams params;
     params.metric = cl::Metric::kEuclidean;
-    params.projection_dims = 8;
-    params.refresh_threshold = 0.0;
     cl::IndexCache cache;
-    // Different slots hold different point sets without interfering.
-    auto a = cache.acquire(0, "random_projection", points_a, params);
-    auto b = cache.acquire(1, "random_projection", points_b, params);
-    EXPECT_NE(a->distance(0, 1), b->distance(0, 1));
-    cache.release(0, "random_projection", points_a, params, std::move(a));
-    cache.release(1, "random_projection", points_b, params, std::move(b));
-    auto a2 = cache.acquire(0, "random_projection", points_a, params);
-    const auto fresh_a = cl::IndexRegistry::global().build(
-        "random_projection", points_a, params);
-    expect_same_distances(*a2, *fresh_a);
-
     // An exact backend is dropped on release (rebuilding it is the pinned
     // behavior) -- the next acquire still serves a valid exact index.
-    auto exact = cache.acquire(2, "exact", points_a, params);
+    auto exact = cache.acquire("exact", points, params);
     ASSERT_TRUE(exact->exact());
     EXPECT_FALSE(exact->supports_update());
-    cache.release(2, "exact", points_a, params, std::move(exact));
-    auto exact2 = cache.acquire(2, "exact", points_a, params);
+    cache.release("exact", points, params, std::move(exact));
+    auto exact2 = cache.acquire("exact", points, params);
     EXPECT_TRUE(exact2->exact());
 }
 
@@ -218,8 +204,8 @@ TEST(IndexCache, NonzeroThresholdKeepsRecallOnConvergingDrift) {
     Rng rng(82);
     std::unique_ptr<cl::GradientIndex> index;
     for (std::size_t round = 0; round < 4; ++round) {
-        index = cache.acquire(0, "random_projection", points, params);
-        cache.release(0, "random_projection", points, params,
+        index = cache.acquire("random_projection", points, params);
+        cache.release("random_projection", points, params,
                       std::move(index));
         // Sub-threshold drift for most points, a few larger movers.
         std::vector<std::uint8_t> all(points.size(), 1);
@@ -227,7 +213,7 @@ TEST(IndexCache, NonzeroThresholdKeepsRecallOnConvergingDrift) {
         for (std::size_t i = 0; i < points.size(); i += 11)
             for (auto& v : points[i]) v += static_cast<float>(0.1 * rng.normal());
     }
-    index = cache.acquire(0, "random_projection", points, params);
+    index = cache.acquire("random_projection", points, params);
     const cl::ExactIndex exact(cl::Metric::kEuclidean, points);
     const std::size_t k_nn = 7;
     double hits = 0.0;

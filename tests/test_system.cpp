@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "core/system.hpp"
+#include "fl/aggregation.hpp"
 
 namespace {
 

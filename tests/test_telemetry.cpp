@@ -212,7 +212,6 @@ core::FairBflConfig pin_config() {
     config.fl.sgd.batch_size = 10;
     config.fl.seed = 42;
     config.miners = 2;
-    config.incentive.sharding.shards = 4;  // exercise the shard fan-out
     return config;
 }
 
@@ -270,10 +269,6 @@ TEST(TelemetryPin, LiveStatsMatchDecodedDumpExactly) {
             << "round " << r;
         EXPECT_GT(live_stats.seconds_of("cluster.index_build"), 0.0)
             << "round " << r;
-        EXPECT_GT(live_stats.seconds_of("cluster.shard_pass"), 0.0)
-            << "round " << r;
-        EXPECT_GT(live_stats.seconds_of("cluster.root_pass"), 0.0)
-            << "round " << r;
         EXPECT_GT(live_stats.max_of("cluster.index_bytes"), 0U)
             << "round " << r;
     }
@@ -327,10 +322,10 @@ TEST(TelemetryDecode, JsonSchemaIsPinned) {
     // per-round `seconds.*` stage keys -- renaming any of these breaks
     // scripts/compare_perf.py, so the strings are pinned here.
     for (const char* needle :
-         {"\"trace\": \"fairbfl_telemetry\"", "\"schema_version\": 2",
+         {"\"trace\": \"fairbfl_telemetry\"", "\"schema_version\": 3",
           "\"rounds\": [", "\"seconds\": {", "\"local\":", "\"cluster\":",
-          "\"index_build\":", "\"shard_cluster\":", "\"root_cluster\":",
-          "\"aggregate\":", "\"mine\":", "\"total\":",
+          "\"index_build\":", "\"aggregate\":", "\"mine\":",
+          "\"wait_quorum\":", "\"total\":",
           "\"index_peak_bytes\": 4096", "\"round\": 5"}) {
         EXPECT_NE(json.find(needle), std::string::npos)
             << "missing JSON key: " << needle;

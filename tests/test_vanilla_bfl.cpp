@@ -5,6 +5,7 @@
 
 #include "core/fairbfl.hpp"
 #include "core/vanilla_bfl.hpp"
+#include "fl/aggregation.hpp"
 #include "ml/partition.hpp"
 #include "ml/synthetic_mnist.hpp"
 
