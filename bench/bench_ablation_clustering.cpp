@@ -16,8 +16,8 @@ using namespace fairbfl;
 
 namespace {
 
-// Each case is one ContributionPolicy configuration (clustering registry
-// key x metric); detection rates come from per-round BflRoundRecords, so
+// Each case is one ContributionPolicy configuration (clustering name x
+// metric); detection rates come from per-round BflRoundRecords, so
 // the FairBfl class is driven directly.
 double run_case(bool iid, const std::string& algo, cluster::Metric metric,
                 std::size_t rounds, std::uint64_t seed) {
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     std::printf("algorithm,metric,noniid_detection,iid_detection\n");
 
     struct Case {
-        const char* algo_name;  ///< cluster::ClusteringRegistry key
+        const char* algo_name;  ///< cluster::make_clustering name
         const char* metric_name;
         cluster::Metric metric;
     };

@@ -89,10 +89,6 @@ BENCHMARK(BM_IndexBuild<cluster::RandomProjectionIndex>)
     ->Arg(100)
     ->Arg(250)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_IndexBuild<cluster::SampledIndex>)
-    ->Arg(100)
-    ->Arg(250)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_Algorithm2EndToEnd(benchmark::State& state) {
     // Full contribution identification on a round's update set.

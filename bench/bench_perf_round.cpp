@@ -117,12 +117,12 @@ int main(int argc, char** argv) {
             "  --system=fairbfl       registry key to benchmark\n"
             "  --engine=batched       Procedure-I engine: batched|reference\n"
             "  --index=exact          Algorithm-2 neighborhood backend\n"
-            "                         (auto|exact|lazy|random_projection|\n"
-            "                         sampled)\n"
+            "                         (auto|exact|lazy|random_projection)\n"
             "  --kernels=             vector-kernel table: scalar|simd|auto\n"
             "                         (default: FAIRBFL_KERNELS, else\n"
             "                         scalar = the bit-pinned default)\n"
-            "  --quorum=1.0           aggregate once this fraction arrived\n"
+            "  --quorum=1.0           aggregate once this fraction arrived,\n"
+            "                         in (0, 1]\n"
             "  --deadline-ms=0        virtual round deadline (0 = none)\n"
             "  --late=next_round      late-gradient policy:\n"
             "                         next_round|retroactive\n"
@@ -155,9 +155,10 @@ int main(int argc, char** argv) {
                      late.c_str());
         return 1;
     }
-    if (quorum <= 0.0 || deadline_ms < 0.0 || churn < 0.0 || churn >= 1.0) {
+    if (!(quorum > 0.0 && quorum <= 1.0) || deadline_ms < 0.0 ||
+        churn < 0.0 || churn >= 1.0) {
         std::fprintf(stderr,
-                     "bench_perf_round: need --quorum > 0, "
+                     "bench_perf_round: need 0 < --quorum <= 1, "
                      "--deadline-ms >= 0, 0 <= --churn < 1\n");
         return 1;
     }
@@ -171,8 +172,9 @@ int main(int argc, char** argv) {
                      engine.c_str());
         return 1;
     }
+    const auto indexes = cluster::index_names();
     if (index != "auto" &&
-        !cluster::IndexRegistry::global().contains(index)) {
+        std::find(indexes.begin(), indexes.end(), index) == indexes.end()) {
         std::fprintf(stderr, "bench_perf_round: bad --index '%s'\n",
                      index.c_str());
         return 1;

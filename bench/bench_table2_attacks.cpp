@@ -8,6 +8,7 @@
 //
 //   ./bench/bench_table2_attacks [--rounds=10] [--seed=42]
 
+#include <algorithm>
 #include <string>
 
 #include "cluster/index.hpp"
@@ -95,7 +96,7 @@ int main(int argc, char** argv) {
     if (args.help_requested()) {
         std::puts("bench_table2_attacks: Table 2 attack-detection rates\n"
                   "flags: --rounds (default 10) --seed --index=exact|\n"
-                  "       random_projection|sampled (neighborhood backend)");
+                  "       random_projection (neighborhood backend)");
         return 0;
     }
     const auto rounds = static_cast<std::size_t>(args.get_int("rounds", 10));
@@ -105,7 +106,8 @@ int main(int argc, char** argv) {
     const bool sweep = args.get_flag("sweep");
     const std::string index = args.get_string("index", "exact");
     if (!args.finish("bench_table2_attacks")) return 1;
-    if (!fairbfl::cluster::IndexRegistry::global().contains(index)) {
+    const auto indexes = fairbfl::cluster::index_names();
+    if (std::find(indexes.begin(), indexes.end(), index) == indexes.end()) {
         std::fprintf(stderr, "bench_table2_attacks: bad --index '%s'\n",
                      index.c_str());
         return 1;

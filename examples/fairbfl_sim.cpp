@@ -9,6 +9,7 @@
 //       [--discard] [--attack=signflip --attackers=3] [--encrypt] \
 //       [--save-chain=chain.bin] [--csv=out.csv]
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -16,7 +17,7 @@
 #include <stdexcept>
 
 #include "chain/storage.hpp"
-#include "cluster/registry.hpp"
+#include "cluster/clustering.hpp"
 #include "core/system.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
@@ -68,11 +69,10 @@ int main(int argc, char** argv) {
             "  --model=logistic|mlp --hidden=N\n"
             "  --discard            discard low-contribution clients\n"
             "  --clustering=NAME    Algorithm 2 clustering backend (dbscan|\n"
-            "                       kmeans; any ClusteringRegistry key)\n"
+            "                       kmeans)\n"
             "  --index=NAME         neighborhood index backend (auto|\n"
-            "                       exact|lazy|random_projection|sampled;\n"
-            "                       any IndexRegistry key; auto defers to\n"
-            "                       the clustering algorithm)\n"
+            "                       exact|lazy|random_projection; auto\n"
+            "                       defers to the clustering algorithm)\n"
             "  --kernels=NAME       vector-kernel table (scalar|simd|auto;\n"
             "                       scalar -- the default -- is bit-pinned,\n"
             "                       simd/auto trade bit-identity for the\n"
@@ -106,8 +106,8 @@ int main(int argc, char** argv) {
             std::printf("\n");
         };
         print_names("systems", core::SystemRegistry::global().names());
-        print_names("clustering", cluster::ClusteringRegistry::global().names());
-        print_names("index", cluster::IndexRegistry::global().names());
+        print_names("clustering", cluster::clustering_names());
+        print_names("index", cluster::index_names());
         print_names("aggregators", core::aggregator_names());
         std::printf("trace formats: binary text json (--trace=PATH "
                     "--trace-format=...)\n");
@@ -248,24 +248,22 @@ int main(int argc, char** argv) {
     if (discard)
         spec.fair.incentive.strategy =
             incentive::LowContributionStrategy::kDiscard;
-    // Backends resolve by registry key; fail fast with the known names
-    // instead of handing a bad key to the first round.
-    if (!cluster::ClusteringRegistry::global().contains(clustering)) {
+    // Backends resolve by name; fail fast with the known names instead of
+    // handing a bad name to the first round.
+    const auto clusterings = cluster::clustering_names();
+    if (std::find(clusterings.begin(), clusterings.end(), clustering) ==
+        clusterings.end()) {
         std::fprintf(stderr,
                      "--clustering: unknown backend '%s' (known: %s)\n",
                      clustering.c_str(),
-                     support::join_names(
-                         cluster::ClusteringRegistry::global().names())
-                         .c_str());
+                     support::join_names(clusterings).c_str());
         return 1;
     }
+    const auto indexes = cluster::index_names();
     if (index != "auto" &&
-        !cluster::IndexRegistry::global().contains(index)) {
-        std::fprintf(
-            stderr, "--index: unknown backend '%s' (known: %s)\n",
-            index.c_str(),
-            support::join_names(cluster::IndexRegistry::global().names())
-                .c_str());
+        std::find(indexes.begin(), indexes.end(), index) == indexes.end()) {
+        std::fprintf(stderr, "--index: unknown backend '%s' (known: %s)\n",
+                     index.c_str(), support::join_names(indexes).c_str());
         return 1;
     }
     spec.fair.incentive.clustering = clustering;

@@ -1,10 +1,12 @@
 #pragma once
 // Common clustering interface.  The paper's Algorithm 2 is parameterized on
 // "any suitable clustering algorithm"; this interface is the seam where
-// adopters plug theirs in (DBSCAN and k-means ship in-tree).
+// adopters plug theirs in (DBSCAN and k-means ship in-tree, reachable by
+// name through make_clustering).
 
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "cluster/distance.hpp"
@@ -40,10 +42,10 @@ public:
         std::span<const std::vector<float>> points) const = 0;
 
     /// Clusters `points` querying a prebuilt GradientIndex over the same
-    /// points (the round pipeline builds the index once -- exact matrix,
-    /// random-projection sketch, or pivot signatures -- and shares it
-    /// across every stage).  Implementations use `index` only when its
-    /// metric matches their own; the default ignores it.
+    /// points (the round pipeline builds the index once -- exact matrix or
+    /// random-projection sketch -- and shares it across every stage).
+    /// Implementations use `index` only when its metric matches their own;
+    /// the default ignores it.
     [[nodiscard]] virtual ClusterResult cluster_with(
         const GradientIndex& index,
         std::span<const std::vector<float>> points) const {
@@ -57,7 +59,7 @@ public:
         return Metric::kCosine;
     }
 
-    /// The IndexRegistry key that matches this algorithm's access pattern
+    /// The make_index() name that matches this algorithm's access pattern
     /// -- what Algorithm 2 builds when the index selection is "auto".
     /// Dense neighbourhood scans amortize a precomputed "exact" matrix
     /// (the default); algorithms touching only O(n) distances (k-means++
@@ -69,5 +71,18 @@ public:
 
     [[nodiscard]] virtual const char* name() const = 0;
 };
+
+struct DbscanParams;
+struct KMeansParams;
+
+/// Builds the clustering algorithm `name` ("dbscan" or "kmeans"), each
+/// configured from its own parameter family.  Throws std::out_of_range
+/// listing clustering_names() on an unknown name.
+[[nodiscard]] std::unique_ptr<ClusteringAlgorithm> make_clustering(
+    std::string_view name, const DbscanParams& dbscan,
+    const KMeansParams& kmeans);
+
+/// Names accepted by make_clustering, in table order.
+[[nodiscard]] std::vector<std::string_view> clustering_names();
 
 }  // namespace fairbfl::cluster

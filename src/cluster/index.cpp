@@ -3,16 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
-#include "support/rng.hpp"
+#include "support/cli.hpp"
 #include "support/vecmath.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace fairbfl::cluster {
 
 // --- GradientIndex defaults ------------------------------------------------
-// Generic fallbacks in terms of distance(); matrix-backed indexes override
-// with row scans over their own storage.
+// Generic fallbacks in terms of distance(); ExactIndex overrides with row
+// scans over its matrix.
 
 std::vector<std::size_t> GradientIndex::neighbors_within(std::size_t i,
                                                          double eps) const {
@@ -58,9 +60,9 @@ bool GradientIndex::update(std::span<const std::vector<float>> /*points*/,
     return false;
 }
 
-// --- MatrixBackedIndex -----------------------------------------------------
+// --- ExactIndex ------------------------------------------------------------
 
-std::vector<std::size_t> MatrixBackedIndex::neighbors_within(
+std::vector<std::size_t> ExactIndex::neighbors_within(
     std::size_t i, double eps) const {
     std::vector<std::size_t> neighbors;
     const auto row = matrix_.row(i);
@@ -70,7 +72,7 @@ std::vector<std::size_t> MatrixBackedIndex::neighbors_within(
     return neighbors;
 }
 
-std::size_t MatrixBackedIndex::nearest_of(
+std::size_t ExactIndex::nearest_of(
     std::size_t i, std::span<const std::size_t> candidates) const {
     const auto row = matrix_.row(i);
     double best = std::numeric_limits<double>::infinity();
@@ -84,8 +86,8 @@ std::size_t MatrixBackedIndex::nearest_of(
     return nearest;
 }
 
-void MatrixBackedIndex::distances_from(std::size_t i,
-                                       std::span<double> out) const {
+void ExactIndex::distances_from(std::size_t i,
+                                std::span<double> out) const {
     const auto row = matrix_.row(i);
     std::copy(row.begin(), row.end(), out.begin());
 }
@@ -112,21 +114,9 @@ RandomProjectionIndex::RandomProjectionIndex(
     support::ThreadPool& pool)
     : metric_(params.metric), n_(points.size()) {
     if (points.empty()) return;
-    const std::size_t dim = points[0].size();
-    const std::size_t k = std::max<std::size_t>(params.projection_dims, 1);
-    if (dim <= k || points.size() <= 2 * k) {
-        // Below the break-even (see class comment) the sketches are the
-        // originals: exact distances, cheaper than projecting.  The
-        // fallback *reports* its exactness (exact() == true) so the theta
-        // read-back reuses the matrix rows it already paid for instead of
-        // recomputing the global's row.
-        sketch_dims_ = dim;
-        fallback_ = true;
-        dense_ = DistanceMatrix(params.metric, points, pool);
-        return;
-    }
-    sketch_dims_ = k;
-    projection_ = support::gaussian_projection(dim, k, params.seed);
+    sketch_dims_ = std::max<std::size_t>(params.projection_dims, 1);
+    projection_ = support::gaussian_projection(points[0].size(), sketch_dims_,
+                                               params.seed);
     sketches_ = support::project_rows(projection_, points, pool);
     norms_.resize(n_);
     for (std::size_t i = 0; i < n_; ++i) norms_[i] = sketch_norm(sketches_[i]);
@@ -156,7 +146,6 @@ std::pair<std::size_t, std::size_t> RandomProjectionIndex::norm_band(
 }
 
 double RandomProjectionIndex::distance(std::size_t i, std::size_t j) const {
-    if (fallback_) return dense_.at(i, j);
     if (i == j) return 0.0;
     // Exactly the kernels DistanceMatrix applies per pair, so on-demand
     // values are bit-identical to the dense sketch matrix this replaced.
@@ -171,12 +160,6 @@ double RandomProjectionIndex::distance(std::size_t i, std::size_t j) const {
 std::vector<std::size_t> RandomProjectionIndex::neighbors_within(
     std::size_t i, double eps) const {
     std::vector<std::size_t> neighbors;
-    if (fallback_) {
-        const auto row = dense_.row(i);
-        for (std::size_t j = 0; j < row.size(); ++j)
-            if (row[j] <= eps) neighbors.push_back(j);
-        return neighbors;
-    }
     if (metric_ != Metric::kEuclidean) {
         for (std::size_t j = 0; j < n_; ++j)
             if (distance(i, j) <= eps) neighbors.push_back(j);
@@ -196,36 +179,9 @@ std::vector<std::size_t> RandomProjectionIndex::neighbors_within(
     return neighbors;
 }
 
-std::size_t RandomProjectionIndex::nearest_of(
-    std::size_t i, std::span<const std::size_t> candidates) const {
-    if (fallback_) {
-        const auto row = dense_.row(i);
-        double best = std::numeric_limits<double>::infinity();
-        std::size_t nearest = candidates.front();
-        for (const std::size_t candidate : candidates) {
-            if (row[candidate] < best) {
-                best = row[candidate];
-                nearest = candidate;
-            }
-        }
-        return nearest;
-    }
-    return GradientIndex::nearest_of(i, candidates);
-}
-
-void RandomProjectionIndex::distances_from(std::size_t i,
-                                           std::span<double> out) const {
-    if (fallback_) {
-        const auto row = dense_.row(i);
-        std::copy(row.begin(), row.end(), out.begin());
-        return;
-    }
-    GradientIndex::distances_from(i, out);
-}
-
 double RandomProjectionIndex::kth_distance(std::size_t i,
                                            std::size_t k) const {
-    if (fallback_ || metric_ != Metric::kEuclidean)
+    if (metric_ != Metric::kEuclidean)
         return GradientIndex::kth_distance(i, k);
     // Expand outward from i in norm order, keeping the k+1 smallest
     // distances seen in a max-heap.  Once the heap is full, a candidate
@@ -288,9 +244,6 @@ double RandomProjectionIndex::kth_distance(std::size_t i,
 }
 
 std::size_t RandomProjectionIndex::storage_bytes() const noexcept {
-    if (fallback_)
-        return (dense_.size() * dense_.size() + dense_.norms().size()) *
-               sizeof(double);
     return n_ * sketch_dims_ * sizeof(float) + norms_.size() * sizeof(double) +
            norm_order_.size() * sizeof(std::size_t) +
            projection_.rows.size() * sizeof(float);
@@ -299,7 +252,7 @@ std::size_t RandomProjectionIndex::storage_bytes() const noexcept {
 bool RandomProjectionIndex::update(std::span<const std::vector<float>> points,
                                    std::span<const std::uint8_t> moved,
                                    support::ThreadPool& pool) {
-    if (fallback_ || n_ == 0) return false;
+    if (n_ == 0) return false;
     if (points.size() != n_ || moved.size() != n_) return false;
     if (points[0].size() != projection_.in_dim) return false;
     support::parallel_for(
@@ -315,178 +268,72 @@ bool RandomProjectionIndex::update(std::span<const std::vector<float>> points,
     return true;
 }
 
-// --- SampledIndex ----------------------------------------------------------
-
-SampledIndex::SampledIndex(std::span<const std::vector<float>> points,
-                           const IndexParams& params,
-                           support::ThreadPool& pool)
-    : metric_(params.metric), n_(points.size()) {
-    if (n_ == 0) return;
-    if (n_ <= std::max<std::size_t>(params.pivots, 1)) {
-        // Below the break-even (see class comment): the dense matrix is
-        // cheaper than any n x m profile table, and exact.
-        dense_ = DistanceMatrix(metric_, points, pool);
-        return;
-    }
-    pivots_ = std::max<std::size_t>(params.pivots, 1);
-    auto rng = support::Rng::fork(params.seed, /*stream=*/0x51A4);
-    pivot_ids_ = rng.sample_indices(n_, pivots_);
-
-    // Owned pivot copies: signatures are *defined* as exact distances to
-    // these copies, which is what keeps incremental update() consistent --
-    // a pivot whose gradient drifts below the refresh threshold keeps its
-    // old copy, and every signature stays exact against it.
-    pivot_points_.reserve(pivots_);
-    for (const std::size_t id : pivot_ids_)
-        pivot_points_.emplace_back(points[id].begin(), points[id].end());
-
-    signatures_.resize(n_ * pivots_);
-    support::parallel_for(
-        0, n_,
-        [&](std::size_t i) {
-            double* row = signatures_.data() + i * pivots_;
-            for (std::size_t p = 0; p < pivots_; ++p)
-                row[p] = cluster::distance(metric_, points[i],
-                                           pivot_points_[p]);
-        },
-        pool);
-}
-
-void SampledIndex::distances_from(std::size_t i,
-                                  std::span<double> out) const {
-    if (pivots_ == 0 && n_ > 0) {
-        const auto row = dense_.row(i);
-        std::copy(row.begin(), row.end(), out.begin());
-        return;
-    }
-    GradientIndex::distances_from(i, out);
-}
-
-bool SampledIndex::update(std::span<const std::vector<float>> points,
-                          std::span<const std::uint8_t> moved,
-                          support::ThreadPool& pool) {
-    if (pivots_ == 0) return false;
-    if (points.size() != n_ || moved.size() != n_) return false;
-    // Refresh the copies of moved pivots first: their column changes for
-    // *every* row (the signature invariant is "exact distance to the
-    // stored copy"), not just for moved points.
-    std::vector<std::size_t> moved_pivots;
-    for (std::size_t p = 0; p < pivots_; ++p) {
-        if (moved[pivot_ids_[p]] != 0) {
-            pivot_points_[p].assign(points[pivot_ids_[p]].begin(),
-                                    points[pivot_ids_[p]].end());
-            moved_pivots.push_back(p);
-        }
-    }
-    support::parallel_for(
-        0, n_,
-        [&](std::size_t i) {
-            double* row = signatures_.data() + i * pivots_;
-            if (moved[i] != 0) {
-                // Moved point: its whole profile is stale.
-                for (std::size_t p = 0; p < pivots_; ++p)
-                    row[p] = cluster::distance(metric_, points[i],
-                                               pivot_points_[p]);
-                return;
-            }
-            // Unmoved point: only the moved pivots' coordinates changed.
-            for (const std::size_t p : moved_pivots)
-                row[p] = cluster::distance(metric_, points[i],
-                                           pivot_points_[p]);
-        },
-        pool);
-    return true;
-}
-
-double SampledIndex::distance(std::size_t i, std::size_t j) const {
-    if (pivots_ == 0) return dense_.at(i, j);
-    if (i == j) return 0.0;
-    const double* a = signatures_.data() + i * pivots_;
-    const double* b = signatures_.data() + j * pivots_;
-    double sum = 0.0;
-    double top1 = 0.0;
-    double top2 = 0.0;
-    for (std::size_t p = 0; p < pivots_; ++p) {
-        const double diff = a[p] - b[p];
-        const double sq = diff * diff;
-        sum += sq;
-        if (sq > top1) {
-            top2 = top1;
-            top1 = sq;
-        } else if (sq > top2) {
-            top2 = sq;
-        }
-    }
-    // Trimmed RMS: each profile coordinate obeys |d(i,p) - d(j,p)| <=
-    // d(i,j), but most compress the true distance heavily while a pivot's
-    // *own* coordinate (s_p[p] == 0) does not -- so points that are pivots
-    // would read as outliers at the scale suggest_eps calibrates from
-    // everyone else.  Dropping the two largest coordinates (i and j can
-    // each be a pivot) removes that artifact; with far-group pairs many
-    // coordinates are large, so the contrast survives the trim.
-    std::size_t kept = pivots_;
-    if (pivots_ > 4) {
-        sum -= top1 + top2;
-        kept -= 2;
-    }
-    return std::sqrt(std::max(sum, 0.0) / static_cast<double>(kept));
-}
-
-// --- IndexRegistry ---------------------------------------------------------
+// --- make_index ------------------------------------------------------------
 
 namespace {
 
-void register_builtin_indexes(IndexRegistry& registry) {
-    registry.add("exact",
-                 [](std::span<const std::vector<float>> points,
-                    const IndexParams& params, support::ThreadPool& pool)
-                     -> std::unique_ptr<GradientIndex> {
-                     return std::make_unique<ExactIndex>(params.metric,
-                                                         points, pool);
-                 });
-    registry.add("lazy",
-                 [](std::span<const std::vector<float>> points,
-                    const IndexParams& params, support::ThreadPool&)
-                     -> std::unique_ptr<GradientIndex> {
-                     return std::make_unique<LazyIndex>(params.metric,
-                                                        points);
-                 });
-    registry.add("random_projection",
-                 [](std::span<const std::vector<float>> points,
-                    const IndexParams& params, support::ThreadPool& pool)
-                     -> std::unique_ptr<GradientIndex> {
-                     return std::make_unique<RandomProjectionIndex>(
-                         points, params, pool);
-                 });
-    registry.add("sampled",
-                 [](std::span<const std::vector<float>> points,
-                    const IndexParams& params, support::ThreadPool& pool)
-                     -> std::unique_ptr<GradientIndex> {
-                     return std::make_unique<SampledIndex>(points, params,
-                                                           pool);
-                 });
+/// At or below the break-even the sketch is pure loss: points no wider
+/// than k cannot be reduced, and when n <= 2k the dense pairwise build
+/// (n^2 d / 2 products) is already cheaper than the projection (n d k).
+bool projection_pays_off(std::span<const std::vector<float>> points,
+                         const IndexParams& params) noexcept {
+    const std::size_t k = std::max<std::size_t>(params.projection_dims, 1);
+    return !points.empty() && points[0].size() > k && points.size() > 2 * k;
 }
+
+/// Single source of truth for the backends: make_index and index_names
+/// both read this table.
+struct IndexEntry {
+    std::string_view name;
+    std::unique_ptr<GradientIndex> (*make)(
+        std::span<const std::vector<float>> points, const IndexParams& params,
+        support::ThreadPool& pool);
+};
+
+constexpr IndexEntry kIndexes[] = {
+    {"exact",
+     [](std::span<const std::vector<float>> points, const IndexParams& params,
+        support::ThreadPool& pool) -> std::unique_ptr<GradientIndex> {
+         return std::make_unique<ExactIndex>(params.metric, points, pool);
+     }},
+    {"lazy",
+     [](std::span<const std::vector<float>> points, const IndexParams& params,
+        support::ThreadPool&) -> std::unique_ptr<GradientIndex> {
+         return std::make_unique<LazyIndex>(params.metric, points);
+     }},
+    {"random_projection",
+     [](std::span<const std::vector<float>> points, const IndexParams& params,
+        support::ThreadPool& pool) -> std::unique_ptr<GradientIndex> {
+         if (!projection_pays_off(points, params))
+             return std::make_unique<ExactIndex>(params.metric, points, pool);
+         return std::make_unique<RandomProjectionIndex>(points, params, pool);
+     }},
+};
 
 }  // namespace
 
-std::unique_ptr<GradientIndex> IndexRegistry::build(
+std::unique_ptr<GradientIndex> make_index(
     std::string_view name, std::span<const std::vector<float>> points,
-    const IndexParams& params, support::ThreadPool& pool) const {
-    telemetry::Span span(telemetry::labels::index_build());
-    std::unique_ptr<GradientIndex> index = find(name)(points, params, pool);
-    span.close();
-    telemetry::counter_max(telemetry::labels::index_bytes(),
-                           index->storage_bytes());
-    return index;
+    const IndexParams& params, support::ThreadPool& pool) {
+    for (const auto& entry : kIndexes) {
+        if (entry.name != name) continue;
+        telemetry::Span span(telemetry::labels::index_build());
+        std::unique_ptr<GradientIndex> index = entry.make(points, params, pool);
+        span.close();
+        telemetry::counter_max(telemetry::labels::index_bytes(),
+                               index->storage_bytes());
+        return index;
+    }
+    throw std::out_of_range("unknown index backend '" + std::string(name) +
+                            "' (known: " + support::join_names(index_names()) +
+                            ")");
 }
 
-IndexRegistry& IndexRegistry::global() {
-    static IndexRegistry* registry = [] {
-        auto* r = new IndexRegistry;
-        register_builtin_indexes(*r);
-        return r;
-    }();
-    return *registry;
+std::vector<std::string_view> index_names() {
+    std::vector<std::string_view> names;
+    names.reserve(std::size(kIndexes));
+    for (const auto& entry : kIndexes) names.push_back(entry.name);
+    return names;
 }
 
 }  // namespace fairbfl::cluster

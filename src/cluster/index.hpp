@@ -22,33 +22,25 @@
 //                             exact O(n^2 k) queries in sketch space.  The
 //                             LSH/random-projection direction of ROADMAP's
 //                             cluster-stage item.
-//   * "sampled"            -- scores every point against m sampled pivot
-//                             gradients and measures dissimilarity between
-//                             pivot-distance profiles; O(n m d) build and
-//                             O(n m) memory, never materializing an
-//                             (n+1)^2 matrix (ROADMAP's theta/matrix-memory
-//                             item).
 //
 // Index distances are comparison-only by contract (eps thresholds,
 // argmins).  Anything that feeds rewards or training -- e.g. the theta
 // scores -- must keep using the exact kernels; consumers may reuse index
 // entries for such paths only when exact() is true.
 //
-// Backends register in the string-keyed IndexRegistry (the SystemRegistry
-// pattern), so a bench or adopter plugs a new neighborhood structure in at
-// startup and selects it by key (`fairbfl_sim --index=...`).
+// make_index() is the one way to build a backend by name
+// (`fairbfl_sim --index=...`): a fixed table, the make_aggregator idiom of
+// core/strategies.cpp.  It also owns the sketch's cost break-even, so a
+// "random_projection" request below it is served by "exact".
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
-#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "cluster/distance.hpp"
-#include "cluster/factory_registry.hpp"
 #include "support/parallel.hpp"
 #include "support/projection.hpp"
 
@@ -62,10 +54,8 @@ struct IndexParams {
     /// "random_projection": sketch dimensionality k.  Build is O(n d k);
     /// distortion shrinks as O(sqrt(log n / k)).
     std::size_t projection_dims = 48;
-    /// "sampled": pivot count m (clamped to n).  Memory is O(n m).
-    std::size_t pivots = 32;
-    /// Seed for the projection matrix / pivot sampling.  Affects index
-    /// internals only, never the round's Rng streams.
+    /// Seed for the projection matrix.  Affects index internals only,
+    /// never the round's Rng streams.
     std::uint64_t seed = 42;
     /// Incremental maintenance (IndexCache): relative L2 drift of a point
     /// between rounds above which update() re-sketches it.  0 re-sketches
@@ -85,15 +75,15 @@ class GradientIndex {
 public:
     virtual ~GradientIndex() = default;
 
-    /// Registry key / diagnostic label of the backend.
+    /// make_index() name / diagnostic label of the backend.
     [[nodiscard]] virtual std::string_view name() const noexcept = 0;
     [[nodiscard]] virtual std::size_t size() const noexcept = 0;
     [[nodiscard]] virtual Metric metric() const noexcept = 0;
 
     /// Index distance between points i and j.  Symmetric, zero diagonal.
-    /// Approximate backends answer in their own geometry (sketch space,
-    /// pivot-profile space); values are mutually comparable within one
-    /// index but not across backends.
+    /// Approximate backends answer in their own geometry (sketch space);
+    /// values are mutually comparable within one index but not across
+    /// backends.
     /// \param i first point ordinal, in [0, size()).
     /// \param j second point ordinal, in [0, size()).
     [[nodiscard]] virtual double distance(std::size_t i,
@@ -144,7 +134,7 @@ public:
     /// dimensionality as the build set), re-sketching only the positions
     /// flagged in `moved`.  Returns false -- leaving the index unusable for
     /// the new round, caller must rebuild -- when the backend cannot
-    /// update (default, or a break-even fallback holding a dense matrix).
+    /// update (the default).
     /// With every position flagged the result is bit-identical to a
     /// from-scratch rebuild over `points` (same params/seed).
     /// \param points the new round's point set; same n and d as the build.
@@ -155,9 +145,9 @@ public:
         std::span<const std::uint8_t> moved,
         support::ThreadPool& pool = support::ThreadPool::global());
 
-    /// True when distance() is the exact pairwise metric (no projection or
-    /// sampling error).  Exactness-sensitive consumers (the theta scores)
-    /// may reuse index entries only under this flag.
+    /// True when distance() is the exact pairwise metric (no projection
+    /// error).  Exactness-sensitive consumers (the theta scores) may reuse
+    /// index entries only under this flag.
     [[nodiscard]] virtual bool exact() const noexcept { return false; }
 
     /// True when the index holds precomputed rows, making distances_from a
@@ -169,7 +159,7 @@ public:
     }
 
     /// Bytes of storage this index owns beyond the borrowed points: the
-    /// dense matrix, sketches' matrix, or pivot-signature table.  Zero for
+    /// dense matrix, or the sketches and their projection.  Zero for
     /// backends that precompute nothing ("lazy").  Reported as
     /// `index_peak_bytes` in perf artifacts.
     [[nodiscard]] virtual std::size_t storage_bytes() const noexcept {
@@ -177,13 +167,26 @@ public:
     }
 };
 
-/// Shared implementation for backends whose storage is a dense
-/// DistanceMatrix (exact over the originals, or exact over sketches):
-/// every query is a row scan in ascending-j order -- the exact access
-/// pattern of the pre-index DBSCAN scan / argmin fallback, so labels and
-/// tie-breaks are unchanged bit-for-bit given the same matrix.
-class MatrixBackedIndex : public GradientIndex {
+/// The dense exact backend: a DistanceMatrix behind the index API.  Every
+/// query is a row scan in ascending-j order -- the exact access pattern of
+/// the pre-index DBSCAN scan / argmin fallback, so labels and tie-breaks
+/// are unchanged bit-for-bit given the same matrix.
+class ExactIndex final : public GradientIndex {
 public:
+    /// Builds the pairwise matrix over `points` (the O(n^2 d) job, row
+    /// fan-out on `pool`).
+    /// \param metric geometry of every stored distance.
+    /// \param points the round's point set; not borrowed (values copied
+    ///               into the matrix during the build).
+    /// \param pool   carries the row fan-out; values are identical for
+    ///               any pool size.
+    ExactIndex(Metric metric, std::span<const std::vector<float>> points,
+               support::ThreadPool& pool = support::ThreadPool::global())
+        : matrix_(metric, points, pool) {}
+
+    [[nodiscard]] std::string_view name() const noexcept override {
+        return "exact";
+    }
     [[nodiscard]] std::size_t size() const noexcept override {
         return matrix_.size();
     }
@@ -200,6 +203,7 @@ public:
         std::size_t i,
         std::span<const std::size_t> candidates) const override;
     void distances_from(std::size_t i, std::span<double> out) const override;
+    [[nodiscard]] bool exact() const noexcept override { return true; }
     [[nodiscard]] bool precomputed_rows() const noexcept override {
         return true;
     }
@@ -209,36 +213,8 @@ public:
                sizeof(double);
     }
 
-    [[nodiscard]] const DistanceMatrix& matrix() const noexcept {
-        return matrix_;
-    }
-
-protected:
-    MatrixBackedIndex() = default;
-    explicit MatrixBackedIndex(DistanceMatrix matrix) noexcept
-        : matrix_(std::move(matrix)) {}
-
+private:
     DistanceMatrix matrix_;
-};
-
-/// The dense exact backend: today's DistanceMatrix behind the index API.
-class ExactIndex final : public MatrixBackedIndex {
-public:
-    /// Builds the pairwise matrix over `points` (the O(n^2 d) job, row
-    /// fan-out on `pool`).
-    /// \param metric geometry of every stored distance.
-    /// \param points the round's point set; not borrowed (values copied
-    ///               into the matrix during the build).
-    /// \param pool   carries the row fan-out; values are identical for
-    ///               any pool size.
-    ExactIndex(Metric metric, std::span<const std::vector<float>> points,
-               support::ThreadPool& pool = support::ThreadPool::global())
-        : MatrixBackedIndex(DistanceMatrix(metric, points, pool)) {}
-
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return "exact";
-    }
-    [[nodiscard]] bool exact() const noexcept override { return true; }
 };
 
 /// Zero-build exact backend: borrows the point storage and computes the
@@ -278,31 +254,24 @@ private:
 };
 
 /// Johnson-Lindenstrauss backend: one seeded Gaussian projection to
-/// params.projection_dims, then a dense exact matrix over the sketches.
-/// Build O(n d k) + O(n^2 k) beats the exact O(n^2 d) whenever k << d
-/// (gradients are d ~ 10^4, k ~ 48).
+/// params.projection_dims, then exact queries over the sketches.  Build
+/// O(n d k) beats the exact O(n^2 d) whenever k << d and n >> k
+/// (gradients are d ~ 10^4, k ~ 48); make_index() serves requests below
+/// that break-even with an ExactIndex instead, so a constructed
+/// RandomProjectionIndex always sketches.
 ///
-/// Below the cost break-even the sketch is pure loss: when the points are
-/// no wider than k the projection cannot reduce anything, and when
-/// n <= 2k the dense pairwise build (n^2 d / 2 products) is already
-/// cheaper than the projection (n d k products).  In both cases the index
-/// is built over the original points -- exact geometry at lower cost than
-/// any sketch -- and the index *reports* exact() accordingly, so the
-/// theta read-back reuses the dense rows instead of recomputing them.
-///
-/// Above the break-even the index stores the n x k sketch rows (plus their
-/// cached L2 norms) and answers every query on demand in O(k) -- no
-/// O(n^2) matrix is ever materialized.  Under the Euclidean metric the
-/// norm cache also powers a *banded* neighbourhood query: points are kept
-/// sorted by sketch norm, and |  ||a|| - ||b||  | <= ||a - b|| restricts a
-/// radius-eps scan (and the pruned k-distance search) to the norm band
-/// around the query, breaking the dense O(n^2 k) sweep on separated data.
-/// The cached projection matrix makes the index incrementally updatable
-/// across rounds (see GradientIndex::update).
+/// The index stores the n x k sketch rows (plus their cached L2 norms)
+/// and answers every query on demand in O(k) -- no O(n^2) matrix is ever
+/// materialized.  Under the Euclidean metric the norm cache also powers a
+/// *banded* neighbourhood query: points are kept sorted by sketch norm,
+/// and |  ||a|| - ||b||  | <= ||a - b|| restricts a radius-eps scan (and
+/// the pruned k-distance search) to the norm band around the query,
+/// breaking the dense O(n^2 k) sweep on separated data.  The cached
+/// projection matrix makes the index incrementally updatable across
+/// rounds (see GradientIndex::update).
 class RandomProjectionIndex final : public GradientIndex {
 public:
-    /// Projects the points to sketches (or, below break-even, builds the
-    /// dense exact matrix).
+    /// Projects the points to sketches.
     /// \param points the round's point set; not borrowed after the build.
     /// \param params projection_dims (k), seed, and the query metric.
     /// \param pool   carries the projection fan-out.
@@ -316,32 +285,21 @@ public:
     [[nodiscard]] std::size_t size() const noexcept override { return n_; }
     [[nodiscard]] Metric metric() const noexcept override { return metric_; }
     /// Sketch-space distance, computed on demand with exactly the kernels
-    /// DistanceMatrix would apply to the sketches (exact matrix lookup in
-    /// the break-even fallback).
+    /// DistanceMatrix would apply to the sketches.
     [[nodiscard]] double distance(std::size_t i,
                                   std::size_t j) const override;
     [[nodiscard]] std::vector<std::size_t> neighbors_within(
         std::size_t i, double eps) const override;
-    [[nodiscard]] std::size_t nearest_of(
-        std::size_t i,
-        std::span<const std::size_t> candidates) const override;
-    void distances_from(std::size_t i, std::span<double> out) const override;
     /// Pruned k-distance: expands a norm-ordered band around the query
     /// until the norm-difference lower bound proves the remaining points
     /// cannot enter the k smallest.  Bit-identical to the default's order
-    /// statistic (Euclidean sketch mode; delegates otherwise).
+    /// statistic (Euclidean metric; delegates otherwise).
     [[nodiscard]] double kth_distance(std::size_t i,
                                       std::size_t k) const override;
-    /// True only in the break-even fallback, where the stored matrix holds
-    /// the exact pairwise metric over the original points.
-    [[nodiscard]] bool exact() const noexcept override { return fallback_; }
-    [[nodiscard]] bool precomputed_rows() const noexcept override {
-        return fallback_;
-    }
     [[nodiscard]] std::size_t storage_bytes() const noexcept override;
 
     [[nodiscard]] bool supports_update() const noexcept override {
-        return !fallback_ && n_ > 0;
+        return n_ > 0;
     }
     /// Re-projects the moved rows through the cached matrix and refreshes
     /// their norms; O(moved * d k) instead of the full O(n d k) build.
@@ -366,129 +324,31 @@ private:
     Metric metric_ = Metric::kCosine;
     std::size_t n_ = 0;
     std::size_t sketch_dims_ = 0;
-    bool fallback_ = false;
     std::vector<std::vector<float>> sketches_;  ///< n x k sketch rows
     std::vector<double> norms_;        ///< sketch L2 norms (band + cosine)
     std::vector<std::size_t> norm_order_;  ///< point ids ascending by norm
     support::ProjectionMatrix projection_;  ///< cached for update()
-    DistanceMatrix dense_;             ///< break-even fallback storage
 };
 
-/// Pivot-profile backend: m gradients are sampled as pivots, every point
-/// gets the m-vector of exact metric distances to them, and the index
-/// distance is the trimmed-RMS difference between profiles.  Points close
-/// under the true metric have close profiles (each coordinate is
-/// 1-Lipschitz in the point by the triangle inequality), so cluster
-/// structure survives while the signature table stays O(n m), plus the
-/// m owned pivot copies.  Queries are O(m) per pair with no precomputed
-/// pairwise table.
-///
-/// When n <= m the profile table (n m distances) costs at least as much
-/// to build and store as the dense matrix it is supposed to avoid, so --
-/// like RandomProjectionIndex below its break-even -- the index holds the
-/// exact matrix instead (pivot_count() reports 0, exact() reports true so
-/// the theta read-back reuses the rows): small rounds decide identically
-/// to "exact", and the O(n m) cap engages exactly where the matrix would
-/// outgrow it.
-///
-/// The index keeps owned copies of the pivot gradients, which makes the
-/// signature table incrementally maintainable across rounds: update()
-/// refreshes the columns of moved pivots and the rows of moved points,
-/// leaving the signatures always equal to exact distances against the
-/// stored pivot copies.
-class SampledIndex final : public GradientIndex {
-public:
-    /// Samples the pivots and fills the signature table.
-    /// \param points the round's point set; not borrowed after the build.
-    /// \param params pivot count (m), sampling seed, and the metric the
-    ///               profiles are measured in.
-    /// \param pool   carries the per-point signature fan-out.
-    SampledIndex(std::span<const std::vector<float>> points,
-                 const IndexParams& params,
-                 support::ThreadPool& pool = support::ThreadPool::global());
+/// Builds the backend `name` -- "exact", "lazy" or "random_projection" --
+/// over `points`.  A "random_projection" request at or below the sketch's
+/// cost break-even (n <= 2k, or d <= k) gets an ExactIndex: there the
+/// dense build is cheaper than the projection and exact besides, and the
+/// index reports exact() so the theta read-back reuses its rows.  Every
+/// build is instrumented: a "cluster.index_build" telemetry span plus a
+/// "cluster.index_bytes" max-counter of the result's storage_bytes().
+/// Throws std::out_of_range listing index_names() on an unknown name.
+/// The backend may borrow `points` (see GradientIndex); keep them alive.
+/// \param name   backend name, one of index_names().
+/// \param points the round's point set (updates + provisional global).
+/// \param params backend tuning; `metric` selects the geometry.
+/// \param pool   carries whatever fan-out the backend's build does.
+[[nodiscard]] std::unique_ptr<GradientIndex> make_index(
+    std::string_view name, std::span<const std::vector<float>> points,
+    const IndexParams& params,
+    support::ThreadPool& pool = support::ThreadPool::global());
 
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return "sampled";
-    }
-    [[nodiscard]] std::size_t size() const noexcept override { return n_; }
-    [[nodiscard]] Metric metric() const noexcept override { return metric_; }
-    /// Trimmed-RMS difference between the two pivot-distance profiles
-    /// (exact matrix lookup in the small-n fallback).
-    /// \param i first point ordinal.
-    /// \param j second point ordinal.
-    [[nodiscard]] double distance(std::size_t i, std::size_t j) const override;
-    void distances_from(std::size_t i, std::span<double> out) const override;
-    /// True only in the small-n fallback, where the stored matrix holds
-    /// the exact pairwise metric over the original points.
-    [[nodiscard]] bool exact() const noexcept override {
-        return pivots_ == 0 && n_ > 0;
-    }
-    [[nodiscard]] bool precomputed_rows() const noexcept override {
-        return pivots_ == 0 && n_ > 0;
-    }
-
-    [[nodiscard]] bool supports_update() const noexcept override {
-        return pivots_ > 0;
-    }
-    /// Refreshes moved pivots' columns (their copies changed for everyone)
-    /// and moved points' rows; O((moved_pivots * n + moved_points * m) d)
-    /// instead of the full O(n m d) build.
-    [[nodiscard]] bool update(
-        std::span<const std::vector<float>> points,
-        std::span<const std::uint8_t> moved,
-        support::ThreadPool& pool =
-            support::ThreadPool::global()) override;
-
-    /// Pivot count actually in use; 0 in the small-n dense fallback.
-    [[nodiscard]] std::size_t pivot_count() const noexcept { return pivots_; }
-    /// Bytes held by the index storage: the n x m signature table plus
-    /// the m owned pivot copies, or the dense matrix in the small-n
-    /// fallback.
-    [[nodiscard]] std::size_t storage_bytes() const noexcept override {
-        std::size_t pivot_floats = 0;
-        for (const auto& pivot : pivot_points_) pivot_floats += pivot.size();
-        return (signatures_.size() + dense_.size() * dense_.size()) *
-                   sizeof(double) +
-               pivot_floats * sizeof(float);
-    }
-
-private:
-    Metric metric_ = Metric::kCosine;
-    std::size_t n_ = 0;
-    std::size_t pivots_ = 0;
-    std::vector<double> signatures_;  ///< n x m row-major pivot distances
-    std::vector<std::size_t> pivot_ids_;  ///< sampled point ordinals
-    std::vector<std::vector<float>> pivot_points_;  ///< owned pivot copies
-    DistanceMatrix dense_;            ///< small-n fallback (n <= m)
-};
-
-/// String-keyed backend table, mirroring core::SystemRegistry.  `global()`
-/// comes pre-loaded with "exact", "lazy", "random_projection" and
-/// "sampled"; registrations are additive and thread-safe.
-class IndexRegistry
-    : public FactoryRegistry<std::function<std::unique_ptr<GradientIndex>(
-          std::span<const std::vector<float>>, const IndexParams&,
-          support::ThreadPool&)>> {
-public:
-    IndexRegistry() : FactoryRegistry("index backend") {}
-
-    /// Builds the backend `name` over `points`.  Throws std::out_of_range
-    /// listing the known names when it is not registered.  The backend may
-    /// borrow `points` (see GradientIndex); keep them alive.  Every build
-    /// is instrumented: a "cluster.index_build" telemetry span plus a
-    /// "cluster.index_bytes" max-counter of the result's storage_bytes()
-    /// (the source of perf JSON `seconds.index_build` / `index_peak_bytes`).
-    /// \param name   registry key of the backend to build.
-    /// \param points the round's point set (updates + provisional global).
-    /// \param params backend tuning; `metric` selects the geometry.
-    /// \param pool   carries whatever fan-out the backend's build does.
-    [[nodiscard]] std::unique_ptr<GradientIndex> build(
-        std::string_view name, std::span<const std::vector<float>> points,
-        const IndexParams& params,
-        support::ThreadPool& pool = support::ThreadPool::global()) const;
-
-    /// The process-wide registry, built-ins pre-registered.
-    static IndexRegistry& global();
-};
+/// Names accepted by make_index, in table order.
+[[nodiscard]] std::vector<std::string_view> index_names();
 
 }  // namespace fairbfl::cluster

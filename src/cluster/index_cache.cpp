@@ -14,7 +14,7 @@ namespace {
 /// not compared -- it tunes the drift scan, not the index contents.
 bool params_compatible(const IndexParams& a, const IndexParams& b) noexcept {
     return a.metric == b.metric && a.projection_dims == b.projection_dims &&
-           a.pivots == b.pivots && a.seed == b.seed;
+           a.seed == b.seed;
 }
 
 bool shape_compatible(std::span<const std::vector<float>> points,
@@ -58,8 +58,8 @@ std::unique_ptr<GradientIndex> IndexCache::acquire(
         shape_compatible(points, entry.points)) {
         const std::vector<std::uint8_t> moved =
             drift_flags(points, entry.points, params.refresh_threshold);
-        // Same instrumentation as IndexRegistry::build: the update *is*
-        // this round's index-build work, so perf artifacts keep reading
+        // Same instrumentation as make_index: the update *is* this
+        // round's index-build work, so perf artifacts keep reading
         // seconds.index_build / index_peak_bytes unchanged.
         telemetry::Span span(telemetry::labels::index_build());
         const bool updated = entry.index->update(points, moved, pool);
@@ -71,7 +71,7 @@ std::unique_ptr<GradientIndex> IndexCache::acquire(
             return std::move(entry.index);
         }
     }
-    return IndexRegistry::global().build(key, points, params, pool);
+    return make_index(key, points, params, pool);
 }
 
 void IndexCache::release(std::string_view key,

@@ -37,12 +37,12 @@ class IndexCache {
 public:
     /// Returns an index serving `points` under (key, params): the cached
     /// index update()d in place when it is compatible (same backend
-    /// key, same params, same point-set shape), a fresh registry build
-    /// otherwise.  Both paths are instrumented exactly like
-    /// IndexRegistry::build ("cluster.index_build" span, index-bytes
-    /// counter), so perf artifacts stay comparable; reuses additionally
-    /// bump the "cluster.index_reuse" counter.
-    /// \param key    IndexRegistry backend key.
+    /// key, same params, same point-set shape), a fresh make_index build
+    /// otherwise.  Both paths are instrumented exactly like make_index
+    /// ("cluster.index_build" span, index-bytes counter), so perf
+    /// artifacts stay comparable; reuses additionally bump the
+    /// "cluster.index_reuse" counter.
+    /// \param key    make_index backend name.
     /// \param points the round's point set (updates + provisional global).
     /// \param params backend tuning; refresh_threshold drives the drift
     ///               detection.

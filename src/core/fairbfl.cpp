@@ -373,7 +373,7 @@ std::optional<incentive::ContributionReport> FairBfl::compute_global_update(
     }
     // Cluster on effective gradients against w_r.  The index-build
     // sub-span and the index-bytes counter are emitted inside identify's
-    // callees (cluster::IndexRegistry::build, cluster::IndexCache).
+    // callees (cluster::make_index, cluster::IndexCache).
     incentive::ContributionReport report;
     {
         const telemetry::Span span(telemetry::labels::round_cluster());

@@ -24,6 +24,15 @@ void check_updates(std::span<const fl::GradientUpdate> updates) {
 
 // --- Aggregators -----------------------------------------------------------
 
+/// Strict weak order over floats that sorts NaN after every number, so one
+/// client's NaN coordinate lands in a trimmed tail (or above the median)
+/// instead of breaking the sort.  On finite inputs it makes the same
+/// comparisons as operator<, so the selected values are unchanged.
+bool nan_last_less(float a, float b) noexcept {
+    if (std::isnan(b)) return !std::isnan(a);
+    return a < b;
+}
+
 class SimpleAverageAggregator final : public Aggregator {
 public:
     [[nodiscard]] std::string_view name() const noexcept override {
@@ -96,7 +105,7 @@ public:
         for (std::size_t d = 0; d < out.size(); ++d) {
             for (std::size_t i = 0; i < k; ++i)
                 column[i] = updates[i].weights[d];
-            std::sort(column.begin(), column.end());
+            std::sort(column.begin(), column.end(), nan_last_less);
             double sum = 0.0;
             for (std::size_t i = trim; i < k - trim; ++i) sum += column[i];
             out[d] = static_cast<float>(sum / static_cast<double>(kept));
@@ -126,13 +135,14 @@ public:
             for (std::size_t i = 0; i < k; ++i)
                 column[i] = updates[i].weights[d];
             const auto mid = column.begin() + static_cast<std::ptrdiff_t>(k / 2);
-            std::nth_element(column.begin(), mid, column.end());
+            std::nth_element(column.begin(), mid, column.end(),
+                             nan_last_less);
             if (k % 2 == 1) {
                 out[d] = *mid;
             } else {
                 const float upper = *mid;
                 const float lower =
-                    *std::max_element(column.begin(), mid);
+                    *std::max_element(column.begin(), mid, nan_last_less);
                 out[d] = (lower + upper) / 2.0F;
             }
         }

@@ -1,9 +1,7 @@
 #include "incentive/contribution.hpp"
 
 #include <algorithm>
-#include <chrono>
 
-#include "cluster/registry.hpp"
 #include "fl/aggregation.hpp"
 #include "support/vecmath.hpp"
 #include "telemetry/telemetry.hpp"
@@ -53,20 +51,18 @@ ContributionReport identify_contributions(
     points.push_back(to_point(provisional_global));
     const std::size_t global_index = points.size() - 1;
 
-    // Resolve the clustering algorithm by registry key; its configuration
+    // Resolve the clustering algorithm by name; its configuration
     // decides the geometry the shared index is built in and -- under the
     // "auto" selection -- which backend fits its access pattern (dense
     // scans precompute, seed-only algorithms go lazy).
-    const cluster::ClusteringConfig cluster_config{.dbscan = config.dbscan,
-                                                   .kmeans = config.kmeans};
     const std::unique_ptr<cluster::ClusteringAlgorithm> algorithm =
-        cluster::ClusteringRegistry::global().make(config.clustering,
-                                                   cluster_config);
+        cluster::make_clustering(config.clustering, config.dbscan,
+                                 config.kmeans);
 
     // The round's one and only neighborhood-structure job: build the
     // selected GradientIndex backend over all updates plus the provisional
     // global -- O(n^2 d) for "exact", O(n d k) for the approximate
-    // backends, nothing at all for "lazy".  Eps suggestion, the clustering
+    // backend, nothing at all for "lazy".  Eps suggestion, the clustering
     // scan, and the nearest-cluster fallback all query it; nothing
     // downstream touches a dense matrix directly.
     cluster::IndexParams index_params = config.index_params;
@@ -74,22 +70,15 @@ ContributionReport identify_contributions(
     const std::string_view index_key = config.index == "auto"
                                            ? algorithm->preferred_index()
                                            : std::string_view(config.index);
-    const auto build_start = std::chrono::steady_clock::now();
     // With a cache installed the previous round's index is update()d in
     // place when only some points drifted (exact/lazy backends never
     // cache, so they rebuild exactly as before); without one this is a
-    // plain registry build.
+    // plain make_index build.
     std::unique_ptr<cluster::GradientIndex> index =
         config.index_cache != nullptr
             ? config.index_cache->acquire(index_key, points, index_params)
-            : cluster::IndexRegistry::global().build(index_key, points,
-                                                     index_params);
-    report.index_build_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      build_start)
-            .count();
+            : cluster::make_index(index_key, points, index_params);
     report.index_backend = index->name();
-    report.index_peak_bytes = index->storage_bytes();
 
     report.clustering = algorithm->cluster_with(*index, points);
     report.global_cluster = report.clustering.labels[global_index];
@@ -143,7 +132,7 @@ ContributionReport identify_contributions(
     // under every backend: an exact cosine index with precomputed rows
     // already holds the values in the global's row (read them back); any
     // other backend -- Euclidean exact, lazy (recomputing the row would
-    // cost more than the kernel), sketches, pivot profiles -- falls
+    // cost more than the kernel), sketches -- falls
     // through to the fused batch kernel (bit-identical to pairwise
     // cosine_distance).
     std::vector<double> theta(updates.size());

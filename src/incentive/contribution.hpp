@@ -38,15 +38,14 @@ enum class LowContributionStrategy : std::uint8_t {
 };
 
 struct ContributionConfig {
-    /// Clustering backend, resolved by key in
-    /// cluster::ClusteringRegistry::global() ("dbscan" -- the paper's
-    /// default -- or "kmeans", or anything registered at startup).
+    /// Clustering backend, resolved by cluster::make_clustering ("dbscan"
+    /// -- the paper's default -- or "kmeans").
     std::string clustering = "dbscan";
-    /// Neighborhood/distance backend, resolved by key in
-    /// cluster::IndexRegistry::global(): "exact" (dense matrix,
-    /// bit-identical to the pre-index pipeline), "lazy" (zero build,
-    /// per-query exact distances), "random_projection" (JL sketches,
-    /// O(n d k) build), or "sampled" (pivot signatures, O(n m) memory).
+    /// Neighborhood/distance backend, resolved by cluster::make_index:
+    /// "exact" (dense matrix, bit-identical to the pre-index pipeline),
+    /// "lazy" (zero build, per-query exact distances), or
+    /// "random_projection" (JL sketches, O(n d k) build; "exact" below
+    /// the sketch's cost break-even).
     /// "auto" (the default) defers to the clustering algorithm's
     /// preferred_index() -- "exact" for DBSCAN's dense scan, "lazy" for
     /// k-means' seed-only touches -- so each algorithm keeps its
@@ -66,8 +65,8 @@ struct ContributionConfig {
                                  .adaptive_eps = true,
                                  .adaptive_eps_scale = 2.0};
     cluster::KMeansParams kmeans;
-    /// Tuning for the selected index backend (projection dims, pivot
-    /// count, internal seed).  The metric field is overwritten at build
+    /// Tuning for the selected index backend (projection dims, internal
+    /// seed).  The metric field is overwritten at build
     /// time with the clustering algorithm's preferred metric, so index and
     /// scan always agree on the geometry.
     cluster::IndexParams index_params;
@@ -97,15 +96,10 @@ struct ContributionReport {
     std::vector<std::size_t> low_indices;
     int global_cluster = cluster::ClusterResult::kNoise;
     cluster::ClusterResult clustering;        ///< labels: updates then global
-    /// Index backend that served this round (diagnostics / perf JSON).
+    /// Index backend that served this round (diagnostics).  Build time
+    /// and storage are reported by the "cluster.index_build" span and the
+    /// "cluster.index_bytes" counter.
     std::string index_backend;
-    /// Host wall seconds spent building the index -- a sub-component of
-    /// the round's cluster-stage wall time (the "cluster.index_build"
-    /// span inside "round.cluster").
-    double index_build_seconds = 0.0;
-    /// GradientIndex::storage_bytes() of this round's index (perf JSON
-    /// `index_peak_bytes`).
-    std::size_t index_peak_bytes = 0;
 
     /// Client ids labelled low contribution (the "drop index" of Table 2).
     [[nodiscard]] std::vector<fl::NodeId> low_clients() const;

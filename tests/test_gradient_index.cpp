@@ -1,11 +1,14 @@
 // GradientIndex: exact-backend equivalence with the dense matrix, the
-// string-keyed registry, approximate-backend quality (recall, attack
-// detection within 2% of exact), and the small-n break-even fallbacks.
+// make_index factory and its small-n break-even, and sketch-backend
+// quality (recall, attack detection within 2% of exact).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/dbscan.hpp"
@@ -154,26 +157,28 @@ TEST(AutoIndex, ResolvesPerClusteringAlgorithm) {
               "lazy");
 }
 
-TEST(IndexRegistry, BuiltinsRegisteredUnknownThrows) {
-    auto& registry = cl::IndexRegistry::global();
-    EXPECT_TRUE(registry.contains("exact"));
-    EXPECT_TRUE(registry.contains("lazy"));
-    EXPECT_TRUE(registry.contains("random_projection"));
-    EXPECT_TRUE(registry.contains("sampled"));
-    EXPECT_FALSE(registry.contains("flat_l2"));
+TEST(MakeIndex, BuildsEveryNamedBackendUnknownThrows) {
+    const std::vector<std::string_view> expected{"exact", "lazy",
+                                                 "random_projection"};
+    EXPECT_EQ(cl::index_names(), expected);
 
     const auto points = grouped_gradients(2, 4, 8, 3);
     cl::IndexParams params;
     params.metric = cl::Metric::kEuclidean;
-    for (const auto& name : registry.names()) {
-        const auto index = registry.build(name, points, params);
+    for (const auto name : cl::index_names()) {
+        const auto index = cl::make_index(name, points, params);
         ASSERT_NE(index, nullptr);
         EXPECT_EQ(index->size(), points.size());
         EXPECT_EQ(index->metric(), cl::Metric::kEuclidean);
     }
-    EXPECT_THROW((void)registry.build("flat_l2", points, params),
-                 std::out_of_range);
-    EXPECT_THROW(registry.add("exact", nullptr), std::invalid_argument);
+    try {
+        (void)cl::make_index("flat_l2", points, params);
+        FAIL() << "expected std::out_of_range";
+    } catch (const std::out_of_range& error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("flat_l2"), std::string::npos);
+        EXPECT_NE(message.find("random_projection"), std::string::npos);
+    }
 }
 
 // Recall of the sketch-space nearest neighbours against the exact ones,
@@ -219,53 +224,43 @@ TEST(RandomProjectionIndex, RecallAtLeastPoint9OnGradientGroups) {
     EXPECT_GE(recall_at(approx, exact, 7), 0.9);
 }
 
-TEST(SampledIndex, RecallAtLeastPoint9OnGradientGroups) {
-    const auto points = grouped_gradients(10, 8, 512, 5);
-    cl::IndexParams params;
-    params.metric = cl::Metric::kEuclidean;
-    params.pivots = 16;  // engaged: n = 80 > m = 16
-    const cl::SampledIndex approx(points, params);
-    ASSERT_EQ(approx.pivot_count(), 16U);
-    const cl::ExactIndex exact(cl::Metric::kEuclidean, points);
-    EXPECT_GE(recall_at(approx, exact, 7), 0.9);
-}
-
-TEST(SampledIndex, MemoryCappedAtPivotTable) {
-    const auto points = grouped_gradients(10, 10, 64, 6);  // n = 100
-    cl::IndexParams params;
-    params.metric = cl::Metric::kEuclidean;
-    params.pivots = 16;
-    const cl::SampledIndex index(points, params);
-    EXPECT_EQ(index.pivot_count(), 16U);
-    // O(n m) doubles plus the m owned d-float pivot copies, far under the
-    // n^2 the dense matrix would need.
-    EXPECT_EQ(index.storage_bytes(),
-              100U * 16U * sizeof(double) + 16U * 64U * sizeof(float));
-    // Still a dissimilarity: symmetric with a zero diagonal.
-    for (std::size_t i = 0; i < 20; ++i) {
-        EXPECT_EQ(index.distance(i, i), 0.0);
-        for (std::size_t j = 0; j < 20; ++j)
-            EXPECT_EQ(index.distance(i, j), index.distance(j, i));
-    }
-}
-
-TEST(ApproximateIndexes, SmallRoundsFallBackToExactGeometry) {
-    // Below the cost break-even (n <= 2k / n <= m) approximating is pure
-    // loss, so both backends must answer with the exact metric -- Table-2
-    // sized rounds decide identically to the "exact" backend.
+TEST(MakeIndex, RandomProjectionBelowBreakEvenIsExact) {
+    // Below the cost break-even (n <= 2k) sketching is pure loss, so
+    // make_index serves the exact backend -- Table-2 sized rounds decide
+    // identically to "exact", row for row.
     const auto points = grouped_gradients(2, 5, 32, 7);  // n = 10
     const cl::ExactIndex exact(cl::Metric::kEuclidean, points);
     cl::IndexParams params;
-    params.metric = cl::Metric::kEuclidean;  // defaults: k = 48, m = 32
-    const cl::RandomProjectionIndex projected(points, params);
-    const cl::SampledIndex sampled(points, params);
-    EXPECT_EQ(sampled.pivot_count(), 0U);
+    params.metric = cl::Metric::kEuclidean;  // default k = 48
+    const auto projected =
+        cl::make_index("random_projection", points, params);
+    EXPECT_EQ(projected->name(), "exact");
+    EXPECT_TRUE(projected->exact());
+    EXPECT_FALSE(projected->supports_update());
+    std::vector<double> row(points.size());
+    std::vector<double> truth(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-        for (std::size_t j = 0; j < points.size(); ++j) {
-            EXPECT_EQ(projected.distance(i, j), exact.distance(i, j));
-            EXPECT_EQ(sampled.distance(i, j), exact.distance(i, j));
-        }
+        projected->distances_from(i, row);
+        exact.distances_from(i, truth);
+        EXPECT_EQ(row, truth) << i;
     }
+}
+
+TEST(MakeIndex, RandomProjectionAboveBreakEvenSketches) {
+    const auto points = grouped_gradients(2, 5, 32, 7);  // n = 10, d = 32
+    cl::IndexParams params;
+    params.metric = cl::Metric::kEuclidean;
+    params.projection_dims = 4;  // engaged: n = 10 > 2k = 8, d = 32 > k
+    const auto projected =
+        cl::make_index("random_projection", points, params);
+    EXPECT_EQ(projected->name(), "random_projection");
+    EXPECT_FALSE(projected->exact());
+    EXPECT_TRUE(projected->supports_update());
+    // d <= k keeps the exact backend even when n is large.
+    params.projection_dims = 32;
+    const auto wide = grouped_gradients(10, 8, 32, 7);  // n = 80 > 2k
+    EXPECT_EQ(cl::make_index("random_projection", wide, params)->name(),
+              "exact");
 }
 
 TEST(ApproximateIndexes, DbscanLabelsMatchExactOnSeparatedGroups) {
@@ -276,9 +271,7 @@ TEST(ApproximateIndexes, DbscanLabelsMatchExactOnSeparatedGroups) {
     cl::IndexParams params;
     params.metric = cl::Metric::kEuclidean;
     params.projection_dims = 12;
-    params.pivots = 12;
     const cl::RandomProjectionIndex projected(points, params);
-    const cl::SampledIndex sampled(points, params);
 
     auto scan = [&](const cl::GradientIndex& index) {
         const double eps = 2.0 * cl::suggest_eps(index, 3);
@@ -289,14 +282,13 @@ TEST(ApproximateIndexes, DbscanLabelsMatchExactOnSeparatedGroups) {
     const auto truth = scan(exact);
     ASSERT_EQ(truth.num_clusters, 4);
     EXPECT_EQ(scan(projected).labels, truth.labels);
-    EXPECT_EQ(scan(sampled).labels, truth.labels);
 }
 
-// The acceptance gate: attack-detection rate under either approximate
-// backend stays within 2% of exact, with the approximation *engaged* at
-// its default tuning (n = 120 clients > 2k = 96 and > m = 32).  Table-2
-// scale (10 clients) is covered by the break-even fallback instead, and
-// pinned by the identical bench_table2_attacks output per backend.
+// The acceptance gate: attack-detection rate under the sketch backend
+// stays within 2% of exact, with the sketch *engaged* at its default
+// tuning (n = 120 clients > 2k = 96).  Table-2 scale (10 clients) is
+// served by the exact backend below the break-even instead, and pinned by
+// the identical bench_table2_attacks output per backend.
 TEST(ApproximateIndexes, AttackDetectionWithin2PercentOfExact) {
     core::EnvironmentConfig env_config;
     env_config.data.samples = 1200;
@@ -327,7 +319,6 @@ TEST(ApproximateIndexes, AttackDetectionWithin2PercentOfExact) {
     const double exact = detection("exact");
     EXPECT_GT(exact, 0.5);  // the defense itself must be working
     EXPECT_NEAR(detection("random_projection"), exact, 0.02);
-    EXPECT_NEAR(detection("sampled"), exact, 0.02);
 }
 
 }  // namespace

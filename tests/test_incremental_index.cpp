@@ -3,9 +3,9 @@
 //
 // The central pin: with every point flagged moved -- equivalently, an
 // IndexCache with refresh_threshold == 0 -- update() must be bit-identical
-// to a from-scratch rebuild over the new points, for both updatable
-// backends.  The deterministic projection matrix / pivot copies make this
-// an exact property, not a tolerance; a fixed-seed multi-round series
+// to a from-scratch rebuild over the new points, for the updatable sketch
+// backend.  The deterministic projection matrix makes this an exact
+// property, not a tolerance; a fixed-seed multi-round series
 // through identify_contributions must therefore produce byte-equal
 // reports with and without the cache.  The re-sketch-skipping path
 // (nonzero threshold) is quality-pinned instead: recall >= 0.9 against
@@ -105,39 +105,16 @@ TEST(RandomProjectionIndex, UpdateEqualsRebuildBitForBit) {
     }
 }
 
-TEST(SampledIndex, UpdateEqualsRebuildBitForBitIncludingMovedPivots) {
-    // Engaged profiles: n = 60 > m = 12.  The drift deliberately hits
-    // pivot points (i % 2) so the moved-pivot column refresh is exercised:
-    // a moved pivot changes *everyone's* signature coordinate.
-    cl::IndexParams params;
-    params.metric = cl::Metric::kEuclidean;
-    params.pivots = 12;
-    auto points = grouped_gradients(6, 10, 128, 41);
-    cl::SampledIndex maintained(points, params);
-    ASSERT_EQ(maintained.pivot_count(), 12U);
-    ASSERT_TRUE(maintained.supports_update());
-
-    Rng rng(42);
-    for (std::size_t round = 0; round < 3; ++round) {
-        std::vector<std::uint8_t> moved(points.size(), 0);
-        for (std::size_t i = 0; i < points.size(); ++i)
-            moved[i] = round == 2 || i % 2 == round % 2 ? 1 : 0;
-        points = drifted(points, moved, 0.02, rng);
-        ASSERT_TRUE(maintained.update(points, moved));
-        const cl::SampledIndex rebuilt(points, params);
-        expect_same_distances(maintained, rebuilt);
-    }
-}
-
 TEST(GradientIndexUpdate, RejectsIncompatibleShapesAndFallbacks) {
-    const auto points = grouped_gradients(2, 5, 32, 51);  // n = 10: fallback
+    // n = 10 <= 2k = 96: make_index serves the non-updatable exact backend.
+    const auto points = grouped_gradients(2, 5, 32, 51);
     cl::IndexParams params;
     params.metric = cl::Metric::kEuclidean;
-    cl::RandomProjectionIndex fallback(points, params);
-    ASSERT_TRUE(fallback.exact());
-    EXPECT_FALSE(fallback.supports_update());
+    const auto fallback = cl::make_index("random_projection", points, params);
+    ASSERT_TRUE(fallback->exact());
+    EXPECT_FALSE(fallback->supports_update());
     const std::vector<std::uint8_t> moved(points.size(), 1);
-    EXPECT_FALSE(fallback.update(points, moved));
+    EXPECT_FALSE(fallback->update(points, moved));
 
     params.projection_dims = 4;  // engaged: n = 10 > 2k = 8
     cl::RandomProjectionIndex engaged(points, params);
@@ -153,7 +130,7 @@ TEST(GradientIndexUpdate, RejectsIncompatibleShapesAndFallbacks) {
 TEST(IndexCache, ZeroThresholdSeriesMatchesUncachedRebuilds) {
     // The cache's own equivalence: acquire/release across rounds with
     // refresh_threshold = 0 re-sketches everything, so every acquired
-    // index must answer exactly like an uncached registry build.
+    // index must answer exactly like an uncached make_index build.
     cl::IndexParams params;
     params.metric = cl::Metric::kEuclidean;
     params.projection_dims = 12;
@@ -164,8 +141,8 @@ TEST(IndexCache, ZeroThresholdSeriesMatchesUncachedRebuilds) {
     for (std::size_t round = 0; round < 4; ++round) {
         auto acquired =
             cache.acquire("random_projection", points, params);
-        const auto fresh = cl::IndexRegistry::global().build(
-            "random_projection", points, params);
+        const auto fresh =
+            cl::make_index("random_projection", points, params);
         expect_same_distances(*acquired, *fresh);
         cache.release("random_projection", points, params,
                       std::move(acquired));
@@ -243,7 +220,7 @@ TEST(IndexCache, NonzeroThresholdKeepsRecallOnConvergingDrift) {
 TEST(IdentifyContributions, CachedSeriesBitIdenticalAtZeroThreshold) {
     // End-to-end through Algorithm 2: a fixed-seed multi-round series with
     // the cache installed (threshold 0) must reproduce the uncached series
-    // byte for byte -- labels, theta, rewards, backend, peak bytes.
+    // byte for byte -- labels, theta, rewards, backend.
     const std::size_t clients = 50;
     const std::size_t dim = 192;
     Rng rng(91);
@@ -273,7 +250,6 @@ TEST(IdentifyContributions, CachedSeriesBitIdenticalAtZeroThreshold) {
         EXPECT_EQ(with_cache.global_cluster, without.global_cluster);
         EXPECT_EQ(with_cache.high_indices, without.high_indices);
         EXPECT_EQ(with_cache.index_backend, without.index_backend);
-        EXPECT_EQ(with_cache.index_peak_bytes, without.index_peak_bytes);
         ASSERT_EQ(with_cache.entries.size(), without.entries.size());
         for (std::size_t i = 0; i < with_cache.entries.size(); ++i) {
             EXPECT_EQ(with_cache.entries[i].theta, without.entries[i].theta);
@@ -288,27 +264,21 @@ TEST(IdentifyContributions, CachedSeriesBitIdenticalAtZeroThreshold) {
     }
 }
 
-TEST(SampledIndex, FallbackReportsExactRowsForThetaReadback) {
-    // The break-even bugfix: a fallback holding the dense matrix must say
-    // so, so the theta read-back reuses the rows it already paid for.
-    const auto points = grouped_gradients(2, 4, 32, 95);  // n = 8 <= m
+TEST(MakeIndex, BelowBreakEvenReportsExactRowsForThetaReadback) {
+    // A break-even build holding the dense matrix must say so, so the
+    // theta read-back reuses the rows it already paid for.
+    const auto points = grouped_gradients(2, 4, 32, 95);  // n = 8 <= 2k
     cl::IndexParams params;
     params.metric = cl::Metric::kCosine;
-    const cl::SampledIndex sampled(points, params);
-    ASSERT_EQ(sampled.pivot_count(), 0U);
-    EXPECT_TRUE(sampled.exact());
-    EXPECT_TRUE(sampled.precomputed_rows());
-    const cl::RandomProjectionIndex projected(points, params);  // n <= 2k
-    EXPECT_TRUE(projected.exact());
-    EXPECT_TRUE(projected.precomputed_rows());
-    // distances_from on the fallback serves the exact dense row.
+    const auto projected = cl::make_index("random_projection", points, params);
+    EXPECT_TRUE(projected->exact());
+    EXPECT_TRUE(projected->precomputed_rows());
+    // distances_from serves the exact dense row.
     const cl::ExactIndex exact(cl::Metric::kCosine, points);
     std::vector<double> row(points.size());
     std::vector<double> truth(points.size());
-    sampled.distances_from(3, row);
+    projected->distances_from(3, row);
     exact.distances_from(3, truth);
-    EXPECT_EQ(row, truth);
-    projected.distances_from(3, row);
     EXPECT_EQ(row, truth);
 }
 

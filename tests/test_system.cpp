@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "core/system.hpp"
@@ -312,6 +313,21 @@ TEST(RobustAggregators, CoordinateMedianOddAndEven) {
     const auto even =
         aggregator->aggregate(column_updates({1.0F, 2.0F, 4.0F, 100.0F}));
     EXPECT_FLOAT_EQ(even[0], 3.0F);  // (2 + 4) / 2
+}
+
+TEST(RobustAggregators, NanCoordinateSortsLastInEitherOrder) {
+    // One client's NaN coordinate among 5 sorts above every number, so the
+    // trimmed mean drops it with the top tail and the median skips it --
+    // wherever the NaN sits in the input.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const auto trimmed = core::make_aggregator("trimmed_mean", 0.2);
+    const auto median = core::make_aggregator("median");
+    for (const auto& updates :
+         {column_updates({1.0F, 2.0F, nan, 3.0F, 4.0F}),
+          column_updates({nan, 1.0F, 2.0F, 3.0F, 4.0F})}) {
+        EXPECT_FLOAT_EQ(trimmed->aggregate(updates)[0], 3.0F);
+        EXPECT_FLOAT_EQ(median->aggregate(updates)[0], 3.0F);
+    }
 }
 
 TEST(RobustAggregators, MedianResistsAForgedMinority) {
